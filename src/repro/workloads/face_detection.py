@@ -38,6 +38,12 @@ from .registry import PaperNumbers, WorkloadSpec, register_workload
 
 WINDOW = 24
 STRIDE = 8
+assert WINDOW % STRIDE == 0, (
+    f"WINDOW ({WINDOW}) must be a multiple of STRIDE ({STRIDE}): batched "
+    "scanning sums each window's histogram from aligned STRIDE x STRIDE cells"
+)
+#: Each window is exactly CELLS x CELLS aligned STRIDE x STRIDE cells.
+CELLS = WINDOW // STRIDE
 HIST_BINS = 16
 #: Chi-square distance below which a window is declared a face.
 DETECT_THRESHOLD = 0.18
@@ -153,8 +159,8 @@ def _chi_square(hists: np.ndarray, template: np.ndarray) -> np.ndarray:
 CONTRAST_THRESHOLD = 80.0
 
 
-def _window_contrast(pixels: np.ndarray, rows: range) -> np.ndarray:
-    """Interior face contrast of each window in the band.
+def _contrast(windows: np.ndarray) -> np.ndarray:
+    """Interior face contrast of each (WINDOW, WINDOW) float32 window.
 
     Compares the bright cheek/nose region of the face template against the
     two dark eye sockets — a structural feature *inside* the window, so it
@@ -162,10 +168,20 @@ def _window_contrast(pixels: np.ndarray, rows: range) -> np.ndarray:
     (unlike a centre-vs-corner test, which fails for faces planted on
     bright textured regions).
     """
+    cheeks = windows[:, 11:16, 8:16].mean(axis=(1, 2))
+    # Min-pool the eye boxes: the dark pupil dot survives resampling
+    # misalignment, while smooth background keeps min ~= mean.
+    eyes = (
+        windows[:, 5:10, 5:10].min(axis=(1, 2))
+        + windows[:, 5:10, 12:17].min(axis=(1, 2))
+    ) / 2.0
+    return cheeks - eyes
+
+
+def _window_contrast(pixels: np.ndarray, rows: range) -> np.ndarray:
+    """:func:`_contrast` of every window in the band, row-major."""
     # Match the window grid of the LBP code map (codes are (H-2, W-2)).
     cropped = pixels[1:-1, 1:-1].astype(np.float32)
-    width = cropped.shape[1]
-    cols = (width - WINDOW) // STRIDE + 1
     out = []
     for row in rows:
         y = row * STRIDE
@@ -173,15 +189,64 @@ def _window_contrast(pixels: np.ndarray, rows: range) -> np.ndarray:
         windows = np.lib.stride_tricks.sliding_window_view(
             strip, (WINDOW, WINDOW)
         )[0, ::STRIDE]
-        cheeks = windows[:, 11:16, 8:16].mean(axis=(1, 2))
-        # Min-pool the eye boxes: the dark pupil dot survives resampling
-        # misalignment, while smooth background keeps min ~= mean.
-        eyes = (
-            windows[:, 5:10, 5:10].min(axis=(1, 2))
-            + windows[:, 5:10, 12:17].min(axis=(1, 2))
-        ) / 2.0
-        out.append(cheeks - eyes)
+        out.append(_contrast(windows))
     return np.concatenate(out)
+
+
+def _gathered_contrast(
+    pixels: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """:func:`_contrast` of the windows at (rows[i], cols[i]) only.
+
+    Gathers just those windows from the uint8 pixels and casts them to
+    float32, instead of converting the whole level; the values equal
+    :func:`_window_contrast`'s bit for bit (a test pins this).
+    """
+    grid = np.lib.stride_tricks.sliding_window_view(
+        pixels[1:-1, 1:-1], (WINDOW, WINDOW)
+    )[::STRIDE, ::STRIDE]
+    return _contrast(grid[rows, cols].astype(np.float32))
+
+
+def _cell_histograms(codes: np.ndarray, cell_rows: range) -> np.ndarray:
+    """Folded LBP counts of each aligned STRIDE x STRIDE cell in
+    ``cell_rows``: (len(cell_rows), width // STRIDE, HIST_BINS) integers.
+
+    One ``bincount`` covers every cell: each folded code is offset by
+    HIST_BINS times its cell's index.
+    """
+    n_rows = len(cell_rows)
+    n_cols = codes.shape[1] // STRIDE
+    block = codes[
+        cell_rows.start * STRIDE : cell_rows.stop * STRIDE, : n_cols * STRIDE
+    ]
+    index = (block // (256 // HIST_BINS)).astype(np.intp)
+    index = index.reshape(n_rows, STRIDE, n_cols, STRIDE)
+    index += HIST_BINS * np.arange(n_rows * n_cols).reshape(
+        n_rows, 1, n_cols, 1
+    )
+    counts = np.bincount(index.ravel(), minlength=n_rows * n_cols * HIST_BINS)
+    return counts.reshape(n_rows, n_cols, HIST_BINS)
+
+
+def _span_histograms(codes: np.ndarray, rows: range) -> np.ndarray:
+    """:func:`_window_histograms` for the window rows ``rows`` as a
+    (len(rows), cols, HIST_BINS) array, summed from cell histograms.
+
+    A window is CELLS x CELLS whole cells, so its counts are the sum of
+    theirs; integer sums are exact, so the normalised float64 histograms
+    equal the per-window ``bincount`` ones.
+    """
+    cells = _cell_histograms(codes, range(rows.start, rows.stop + CELLS - 1))
+    n = len(rows)
+    cols = cells.shape[1] - CELLS + 1
+    strips = cells[:n].copy()
+    for k in range(1, CELLS):
+        strips += cells[k : k + n]
+    counts = strips[:, :cols].copy()
+    for k in range(1, CELLS):
+        counts += strips[:, k : k + cols]
+    return counts / (WINDOW * WINDOW)
 
 
 class FDGrayscale(Stage):
@@ -384,20 +449,22 @@ class FDScanning(Stage):
         hists = _window_histograms(item.codes, rows)
         scores = _chi_square(hists, face_template())
         contrast = _window_contrast(item.pixels, rows)
-        self._emit_detections(item, scores, contrast, ctx)
+        accepted = np.nonzero(
+            (scores < DETECT_THRESHOLD) & (contrast > CONTRAST_THRESHOLD)
+        )[0]
+        self._emit_detections(item, scores, accepted, ctx)
 
     def _emit_detections(
         self,
         item: _BandItem,
         scores: np.ndarray,
-        contrast: np.ndarray,
+        accepted: np.ndarray,
         ctx,
     ) -> None:
+        """Emit the band's windows at the (band-local, row-major)
+        ``accepted`` indices, in order."""
         cols = (item.codes.shape[1] - WINDOW) // STRIDE + 1
         scale = 2**item.level
-        accepted = np.nonzero(
-            (scores < DETECT_THRESHOLD) & (contrast > CONTRAST_THRESHOLD)
-        )[0]
         for index in accepted:
             row = item.row_start + index // cols
             col = index % cols
@@ -414,7 +481,7 @@ class FDScanning(Stage):
 
     def execute_batch(self, items, ctxs):
         # Bands of one pyramid level share their (read-only) code map; all
-        # their windows classify in one strided pass over that map.
+        # their windows classify in one pass over that map.
         for indices in group_indices(items, lambda it: id(it.codes)).values():
             self._execute_level(
                 [items[i] for i in indices], [ctxs[i] for i in indices]
@@ -422,38 +489,31 @@ class FDScanning(Stage):
         return [self.cost(item) for item in items]
 
     def _execute_level(self, items: list[_BandItem], ctxs: list) -> None:
-        codes = items[0].codes
-        pixels = items[0].pixels
-        swv = np.lib.stride_tricks.sliding_window_view
-        cols = (codes.shape[1] - WINDOW) // STRIDE + 1
-        # Shared per-level work the scalar path redoes per band: folding the
-        # code map, converting pixels to float, building the window views.
-        folded = codes // (256 // HIST_BINS)
-        code_wins = swv(folded, (WINDOW, WINDOW))[:, ::STRIDE]
-        cropped = pixels[1:-1, 1:-1].astype(np.float32)
-        pix_wins = swv(cropped, (WINDOW, WINDOW))[:, ::STRIDE]
-        # The histograms themselves stay chunked per band: gathering every
-        # band's windows into one array was measured slower (the int64
-        # histogram input balloons past the cache), while per-band chunks
-        # stay resident.  Integer counts are order-independent, so the
-        # per-band chi-square/contrast values match the scalar pass exactly.
+        # Histograms come from per-cell counts over the window rows the
+        # bands span, so each cell is counted once rather than by each of
+        # the CELLS x CELLS windows that contain it.  Contrast only decides
+        # windows that already pass the score test, so it is computed for
+        # those few alone.  Accepted windows are exactly the scalar path's.
+        lo = min(item.row_start for item in items)
+        hi = max(item.row_start + item.num_rows for item in items)
+        hists = _span_histograms(items[0].codes, range(lo, hi))
+        cols = hists.shape[1]
+        scores = _chi_square(
+            hists.reshape(-1, HIST_BINS), face_template()
+        ).reshape(hi - lo, cols)
+        cand_rows, cand_cols = np.nonzero(scores < DETECT_THRESHOLD)
+        contrast = _gathered_contrast(items[0].pixels, cand_rows + lo, cand_cols)
+        hit = contrast > CONTRAST_THRESHOLD
+        # Window rows/cols of the accepted windows, row-major; each band
+        # takes its own rows, as band-local indices.
+        hit_rows, hit_cols = cand_rows[hit] + lo, cand_cols[hit]
         for item, ctx in zip(items, ctxs):
-            ys = STRIDE * np.arange(item.row_start, item.row_start + item.num_rows)
-            wins = code_wins[ys]
-            n = item.num_rows * cols
-            flat = wins.reshape(n, WINDOW * WINDOW).astype(np.int64)
-            hist = np.bincount(
-                (flat + HIST_BINS * np.arange(n)[:, None]).ravel(),
-                minlength=n * HIST_BINS,
-            ).reshape(n, HIST_BINS) / (WINDOW * WINDOW)
-            scores = _chi_square(hist, face_template())
-            pwins = pix_wins[ys]
-            cheeks = pwins[:, :, 11:16, 8:16].mean(axis=(2, 3))
-            eyes = (
-                pwins[:, :, 5:10, 5:10].min(axis=(2, 3))
-                + pwins[:, :, 5:10, 12:17].min(axis=(2, 3))
-            ) / 2.0
-            self._emit_detections(item, scores, (cheeks - eyes).reshape(n), ctx)
+            start = item.row_start
+            stop = start + item.num_rows
+            mine = (hit_rows >= start) & (hit_rows < stop)
+            accepted = (hit_rows[mine] - start) * cols + hit_cols[mine]
+            band_scores = scores[start - lo : stop - lo].ravel()
+            self._emit_detections(item, band_scores, accepted, ctx)
 
     def cost(self, item: _BandItem) -> TaskCost:
         cols = (item.codes.shape[1] - WINDOW) // STRIDE + 1

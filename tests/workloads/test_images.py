@@ -1,5 +1,7 @@
 """Image-processing primitives used by Pyramid and Face Detection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,26 @@ class TestSyntheticImages:
         a = images.synthetic_rgb_image(3, 64, 48)
         b = images.synthetic_rgb_image(4, 64, 48)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        ("seed", "width", "height", "digest"),
+        [
+            (50, 1280, 720, "bbaa3414a2f18a830c5a96debff0d73ded873869b566bec256d073284c17bce5"),
+            (2017, 1280, 720, "8e7b9cfdc96372181d16ccc71e0c6ca3e190169cb1001d970a790809f91e9541"),
+            (0, 320, 240, "4be68360ed97b3cdb7d95f31fba8abdb95f7862a31a1bc0748657437ab246b3e"),
+            (3, 64, 48, "04f6d91211bf5fc2a1db43f93b010f78b975f1d3f3c3f537a395d95abd87bb51"),
+            (1, 1281, 719, "a0dc88f1e0c7b226b322e13176e61a570585e8ee874b6bd63babb3f792ad8868"),
+            # Shorter than one noise chunk.
+            (2, 1280, 7, "1044caec73c929ffac49f6c89a00fa5652c83990f240189f06c5e1657b30ffba"),
+        ],
+    )
+    def test_bytes_are_pinned(self, seed, width, height, digest):
+        """Frame bytes are pinned to those of the one-shot full-frame
+        synthesis (float64 ``rng.normal`` over the whole frame), which the
+        chunked form must reproduce exactly."""
+        image = images.synthetic_rgb_image(seed, width, height)
+        assert image.shape == (height, width, 3)
+        assert hashlib.sha256(image.tobytes()).hexdigest() == digest
 
     def test_shape_and_dtype(self):
         img = images.synthetic_rgb_image(0, 100, 80)
