@@ -13,23 +13,25 @@ repeat is kept.  Results land in ``BENCH_simspeed.json``:
 * ``sim_time_ms`` — simulated time, deterministic, gated by
   ``scripts/check_bench.py`` (a drift means the schedule changed);
 * ``event_cost`` — wall seconds per workload event divided by the wall
-  seconds per event of a trivial self-rescheduling engine loop measured
-  on the same machine.  This machine-normalised, dimensionless cost is
-  the wall-clock gate metric: it regresses when per-event simulator
-  overhead grows, but is insensitive to how fast the CI host happens
-  to be.
+  seconds per event of a trivial self-rescheduling ``heapq`` loop
+  measured on the same machine.  This machine-normalised, dimensionless
+  cost is the wall-clock gate metric: it regresses when per-event
+  simulator overhead grows, but is insensitive to how fast the CI host
+  happens to be.  The calibration loop imports nothing from ``repro``,
+  so a change to the simulator's own engine moves the numerator only.
 
 The schedule fingerprints are additionally asserted identical across
 repeats — a wall-clock fast path must never change the schedule.
 """
 
+import heapq
+import itertools
 import json
 import os
 import time
 
 import pytest
 
-from repro.gpu.engine import make_engine, resolve_engine_kind
 from repro.harness.simspeed import CANONICAL_CASES, run_case
 
 #: Machine-readable results, written at the repo root so CI can compare
@@ -46,26 +48,31 @@ _CALIB_EVENTS = 100_000
 def _calibrate() -> float:
     """Wall seconds per event of a trivial self-rescheduling chain.
 
-    This is the floor cost of one engine event on this machine and
-    Python build; dividing workload per-event costs by it yields a
-    machine-neutral overhead ratio.
+    The chain runs on a bare ``heapq`` calendar of ``(time, seq,
+    callback)`` entries popped one at a time: the floor cost of one
+    heap-scheduled Python callback on this machine and Python build.
+    Dividing workload per-event costs by it yields a machine-neutral
+    overhead ratio.
     """
     best = float("inf")
     for _ in range(_REPEATS):
-        # The session's selected engine (REPRO_ENGINE / --engine), so the
-        # normalisation floor and the workloads run the same core.
-        engine = make_engine()
+        heap: list = []
+        seq = itertools.count()
+        now = 0.0
         remaining = _CALIB_EVENTS
 
         def chain() -> None:
             nonlocal remaining
             remaining -= 1
             if remaining > 0:
-                engine.schedule(1.0, chain)
+                heapq.heappush(heap, (now + 1.0, next(seq), chain))
 
-        engine.schedule(1.0, chain)
+        heapq.heappush(heap, (1.0, next(seq), chain))
+        pop = heapq.heappop
         start = time.perf_counter()
-        engine.run()
+        while heap:
+            now, _seq, fn = pop(heap)
+            fn()
         best = min(best, time.perf_counter() - start)
     return best / _CALIB_EVENTS
 
@@ -110,7 +117,6 @@ def test_simspeed(benchmark):
     )
 
     payload = {
-        "engine": resolve_engine_kind(),
         "calibration": {
             "events": _CALIB_EVENTS,
             "s_per_event": calib_s_per_event,

@@ -63,7 +63,6 @@ from .core.models import (
 from .core.tuner.cache import DEFAULT_CACHE_DIR as _DEFAULT_TUNER_CACHE
 from .core.tuner.offline import TunerOptions
 from .gpu.device import GPUDevice
-from .gpu.engine import set_default_engine_kind
 from .gpu.specs import PRESETS, get_spec
 from .gpu.tracing import render_timeline
 from .harness.runner import execute_model, run_workload_models
@@ -598,15 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="VersaPipe reproduction: pipelined computing on a "
         "simulated GPU",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default=None,
-        help="event-engine implementation for every simulated device: "
-        "'vector' (default) is the array-clocked calendar with cohort "
-        "dispatch, 'scalar' the reference heap loop; both produce "
-        "bit-identical schedules (overrides $REPRO_ENGINE)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="show workloads, devices and models")
@@ -965,10 +955,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.engine is not None:
-        # Exported so the bench/tune worker processes inherit the choice.
-        os.environ["REPRO_ENGINE"] = args.engine
-        set_default_engine_kind(args.engine)
     return _COMMANDS[args.command](args)
 
 

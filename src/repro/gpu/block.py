@@ -88,8 +88,7 @@ class ThreadBlock:
         self._compute_started_at: float | None = None
         self._pending_min_cycles: float = 0.0
         #: The resume continuation, bound once: every Delay/Wait resume
-        #: reuses it instead of minting a new bound method (and, on the
-        #: typed engine path, a new closure) per command.
+        #: reuses it instead of minting a new bound method per command.
         self._resume = self._advance
 
     @property

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engines (scalar reference + vector core).
+"""Deterministic discrete-event engine.
 
 The whole simulator runs on a single event calendar.  Time is measured in
 *cycles* of the simulated device's core clock; the device facade converts to
@@ -6,82 +6,22 @@ micro/milliseconds for reporting.  Determinism is guaranteed by breaking
 time ties with a monotonically increasing sequence number, so repeated runs
 of the same program produce bit-identical schedules.
 
-Two implementations share one API and — by construction — one schedule:
-
-* :class:`Engine` is the original scalar core: a ``heapq`` of
-  ``(time, seq, token, callback)`` tuples, popped one event at a time, with
-  lazy cancellation tombstones and periodic compaction.  It is retained as
-  the differential-testing reference (``--engine scalar``); the randomized
-  equivalence suite in ``tests/gpu/test_engine_differential.py`` pins that
-  both engines fire the same events in the same order.
-* :class:`VectorEngine` is the array-clocked core and the default.  Event
-  state lives in preallocated numpy columns (``time, seq, kind, target,
-  arg``) with slot recycling instead of per-event tuple + ``CancelToken``
-  allocation; a lightweight ``(time, seq, slot)`` index heap orders the
-  calendar.  The run loop uses **cohort dispatch**: every event sharing the
-  next timestamp is popped from the calendar in one batch into a ready
-  lane, and zero-delay events bypass the calendar entirely (they enter the
-  ready lane directly, which preserves ``(time, seq)`` order because their
-  sequence numbers are necessarily larger than everything already staged).
-  Dominant traffic uses *typed* event kinds dispatched through a small
-  table instead of closures — :meth:`VectorEngine.schedule_call` stores a
-  bare ``(fn, arg)`` pair — while :meth:`VectorEngine.schedule` remains the
-  generic cancellable escape hatch, so existing callers work unmodified.
-  High-churn re-arm points (each SM's completion tick) use a
-  :class:`VectorTimerBank`: flat numpy ``times``/``seqs`` arrays, one slot
-  per SM, so the device advances to ``times.min()`` and retires same-time
-  completions in bulk without ever touching the calendar.
-
-Cancellation is *lazy* in both engines: a cancelled scalar event leaves a
-tombstone in the heap; a cancelled vector event frees its column slot
-immediately (slot recycling) and leaves only a stale index-heap triple that
-is skipped — and periodically compacted away — when it surfaces.  Both
-compaction paths preserve the total ``(time, seq)`` order, so the schedule
-is bit-identical with or without them (``tests/gpu/test_determinism_golden
-.py`` pins this).
-
-Engine selection: :func:`make_engine` resolves, in order, an explicit
-``kind`` argument, the process-wide default installed by the CLI's
-``--engine`` flag (:func:`set_default_engine_kind`), the ``REPRO_ENGINE``
-environment variable, and finally the built-in default (``vector``).
+:class:`Engine` is a ``heapq`` of ``(time, seq, token, callback)`` tuples,
+popped one event at a time.  Cancellation is *lazy*: a cancelled event
+leaves a tombstone in the heap that is skipped when it surfaces, and the
+heap is compacted once tombstones outnumber live events.  Compaction
+preserves the total ``(time, seq)`` order, so the schedule is bit-identical
+with or without it (``tests/gpu/test_determinism_golden.py`` pins this).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from collections import deque
 from typing import Callable, Optional
-
-import numpy as np
-
-#: Engine kinds accepted by :func:`make_engine` / ``REPRO_ENGINE``.
-ENGINE_KINDS = ("scalar", "vector")
-
-#: Environment variable consulted by :func:`make_engine`.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Built-in default engine kind.
-DEFAULT_ENGINE_KIND = "vector"
 
 #: Sentinel distinguishing "no argument" from "argument is None".
 _NO_ARG = object()
-
-# ----------------------------------------------------------------------
-# Typed event kinds (the vector engine's dispatch table).  The dominant
-# event traffic — SM ticks, queue wakes, task completions, arrival
-# deliveries — is expressed as a small integer kind plus a bare
-# ``(target, arg)`` pair instead of a closure per event.
-# ----------------------------------------------------------------------
-#: ``fn()`` — a no-argument callback (also the generic escape hatch).
-KIND_CALL = 0
-#: ``fn(arg)`` — a one-argument callback (queue wake / task completion /
-#: arrival delivery resumes carry their payload here).
-KIND_CALL_ARG = 1
-#: A timer-bank slot firing (SM completion tick); ``arg`` carries the
-#: bank's seq array, the slot index and the arming seq for validation.
-KIND_BANK_TICK = 2
 
 
 class CancelToken:
@@ -116,9 +56,6 @@ class Timer:
     re-deriving the callback on every residency change.  Arming performs
     exactly the cancel-then-push sequence of the naive path, so event
     ordering — including ties — is unchanged.
-
-    Works against either engine: it only needs ``schedule`` to return a
-    token with ``cancel()`` / ``cancelled``.
     """
 
     __slots__ = ("_engine", "_fn", "_token")
@@ -151,27 +88,8 @@ class Timer:
         self._token = None
 
 
-class _ScalarTimerBank:
-    """Timer-bank facade over the scalar engine: one :class:`Timer` per
-    slot, so devices can be written against the bank API regardless of
-    which engine backs them.  No array clock exists here (``times`` is
-    ``None``): each slot is an ordinary heap-scheduled timer."""
-
-    __slots__ = ("_engine", "size", "times")
-
-    def __init__(self, engine: "Engine", size: int) -> None:
-        self._engine = engine
-        self.size = size
-        self.times = None
-
-    def timer(self, index: int, fn: Callable[[], None]) -> Timer:
-        if not 0 <= index < self.size:
-            raise IndexError(f"timer bank has no slot {index}")
-        return Timer(self._engine, fn)
-
-
 class Engine:
-    """The scalar reference engine: a minimal deterministic event heap."""
+    """A minimal deterministic event heap."""
 
     #: Compaction triggers when at least this many tombstones accumulate
     #: *and* they outnumber live events.  Class attribute so tests can
@@ -221,14 +139,12 @@ class Engine:
         return token
 
     def schedule_call(self, delay: float, fn: Callable, arg: object = _NO_ARG) -> None:
-        """Typed fire-and-forget schedule: run ``fn(arg)`` (or ``fn()``
+        """Fire-and-forget schedule: run ``fn(arg)`` (or ``fn()``
         when no argument is given) ``delay`` cycles from now.
 
-        The scalar engine implements this on top of :meth:`schedule`;
-        the vector engine stores the bare ``(fn, arg)`` pair without any
-        closure or token allocation.  Consumes exactly one sequence
-        number either way, so both engines order the event identically.
-        No token is returned: typed events cannot be cancelled.
+        Implemented on top of :meth:`schedule`, so it consumes exactly
+        one sequence number.  No token is returned: these events cannot
+        be cancelled.
         """
         if arg is _NO_ARG:
             self.schedule(delay, fn)
@@ -238,7 +154,7 @@ class Engine:
     def schedule_call_at(
         self, time: float, fn: Callable, arg: object = _NO_ARG
     ) -> None:
-        """Typed fire-and-forget schedule at an absolute time."""
+        """Fire-and-forget schedule at an absolute time."""
         self.schedule_call(max(0.0, time - self.now), fn, arg)
 
     def schedule_many(
@@ -273,11 +189,6 @@ class Engine:
     def timer(self, fn: Callable[[], None]) -> Timer:
         """A reusable :class:`Timer` bound to ``fn`` (see its docstring)."""
         return Timer(self, fn)
-
-    def timer_bank(self, size: int) -> _ScalarTimerBank:
-        """A bank of ``size`` re-armable timers (see the vector engine's
-        :class:`VectorTimerBank` for the array-clocked counterpart)."""
-        return _ScalarTimerBank(self, size)
 
     # ------------------------------------------------------------------
     # Tombstone accounting.
@@ -379,682 +290,3 @@ class Engine:
         raise RuntimeError(
             f"engine exceeded {max_events} events; likely a scheduling livelock"
         )
-
-
-# ----------------------------------------------------------------------
-# The vector engine.
-# ----------------------------------------------------------------------
-_INF = float("inf")
-
-
-class VectorCancelToken:
-    """Slot-recycled cancel handle for one vector-calendar event.
-
-    Cancelling an in-calendar event frees its column slot *immediately*
-    (the slot is recycled by the next schedule); only a stale
-    ``(time, seq, slot)`` triple remains in the index heap, recognised by
-    its sequence-number mismatch and skipped — or compacted away — when
-    it surfaces.  Events already staged in the ready lane are suppressed
-    at fire time via the ``cancelled`` flag.
-    """
-
-    __slots__ = ("cancelled", "_engine", "_slot", "_seq")
-
-    def __init__(self, engine: "VectorEngine", slot: int, seq: int) -> None:
-        self.cancelled = False
-        self._engine = engine
-        self._slot = slot
-        self._seq = seq
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            engine = self._engine
-            if engine is not None:
-                engine._cancel_slot(self._slot, self._seq)
-                self._engine = None
-
-
-class VectorTimerBank:
-    """Array clock: ``size`` re-armable timer slots backed by a flat
-    numpy time column.
-
-    ``times[i]`` is slot *i*'s next firing time (``inf`` when disarmed) —
-    the device-level next-completion clock, one slot per SM.  The engine
-    advances to ``times.min()`` (cached incrementally) and retires every
-    same-time slot in one bulk scan.  Each ``arm`` consumes one sequence
-    number from the engine's shared counter, so time ties against
-    calendar events break exactly as they do on the scalar engine; a
-    re-arm simply overwrites the slot (the array is the tombstone-free
-    equivalent of cancel-then-push), and a disarm — or a re-arm racing a
-    tick already staged in the ready lane — invalidates the slot's seq,
-    which the dispatcher checks before delivering the tick.
-
-    Dispatch-path reads and the min scan go through plain-python
-    shadows of the column: at a dozen-odd slots, python list scans are
-    3-4x cheaper than numpy ufuncs.  The numpy column (``times``) is
-    published from the shadow in one bulk copy per read, so arming and
-    disarming never pay a per-transition numpy scalar store.
-    """
-
-    __slots__ = ("_engine", "size", "_times_arr", "_ptimes", "_seqs",
-                 "_handlers", "_armed", "_min_time")
-
-    def __init__(self, engine: "VectorEngine", size: int) -> None:
-        self._engine = engine
-        self.size = size
-        self._times_arr = np.full(size, _INF, dtype=np.float64)
-        self._ptimes: list[float] = [_INF] * size
-        self._seqs: list[int] = [-1] * size
-        self._handlers: list[Optional[Callable[[], None]]] = [None] * size
-        self._armed = 0
-        self._min_time = _INF
-
-    @property
-    def times(self) -> np.ndarray:
-        """The flat numpy time column (``inf`` = disarmed), refreshed
-        from the hot-path shadow in one bulk copy per read."""
-        self._times_arr[:] = self._ptimes
-        return self._times_arr
-
-    def timer(self, index: int, fn: Callable[[], None]) -> "_BankTimer":
-        if not 0 <= index < self.size:
-            raise IndexError(f"timer bank has no slot {index}")
-        self._handlers[index] = fn
-        return _BankTimer(self, index)
-
-    # -- slot operations ------------------------------------------------
-    def arm(self, index: int, delay: float) -> None:
-        if delay < 0:
-            delay = 0.0
-        engine = self._engine
-        time = engine.now + delay
-        ptimes = self._ptimes
-        old = ptimes[index]
-        if old == _INF:
-            self._armed += 1
-            engine._bank_armed += 1
-            engine._note_pending()
-        ptimes[index] = time
-        self._seqs[index] = engine._next_seq()
-        if time < self._min_time:
-            self._min_time = time
-        elif old == self._min_time and time > self._min_time:
-            self._min_time = min(ptimes)
-
-    def disarm(self, index: int) -> None:
-        # Always invalidate the seq: a slot already consumed into the
-        # ready lane (time == inf, fire pending) must not fire either.
-        self._seqs[index] = -1
-        ptimes = self._ptimes
-        old = ptimes[index]
-        if old != _INF:
-            ptimes[index] = _INF
-            self._armed -= 1
-            self._engine._bank_armed -= 1
-            if old == self._min_time:
-                self._min_time = min(ptimes)
-
-    def armed(self, index: int) -> bool:
-        # A slot consumed into the ready lane but not yet delivered has
-        # time == inf but a live seq; the scalar reference (heap entry
-        # still pending, token alive) reports it armed, so we must too.
-        # Delivery (``arr[i] = -1``) and disarm both invalidate the seq.
-        return self._ptimes[index] != _INF or self._seqs[index] != -1
-
-    def _consume_cohort(self, time: float, out: list) -> None:
-        """Move every slot firing at ``time`` into ``out`` as ready-lane
-        entries (bulk same-time retirement), in arming-seq order."""
-        ptimes = self._ptimes
-        seqs = self._seqs
-        hits = [i for i, t in enumerate(ptimes) if t == time]
-        if len(hits) > 1:
-            hits.sort(key=seqs.__getitem__)
-        handlers = self._handlers
-        engine = self._engine
-        for i in hits:
-            out.append((seqs[i], KIND_BANK_TICK, handlers[i],
-                        (seqs, i, seqs[i]), None))
-            ptimes[i] = _INF
-        n = len(hits)
-        self._armed -= n
-        engine._bank_armed -= n
-        engine._live += n
-        self._min_time = min(ptimes) if self.size else _INF
-
-
-class _BankTimer:
-    """Per-slot facade with the :class:`Timer` API over a
-    :class:`VectorTimerBank`."""
-
-    __slots__ = ("_bank", "_index")
-
-    def __init__(self, bank: VectorTimerBank, index: int) -> None:
-        self._bank = bank
-        self._index = index
-
-    @property
-    def armed(self) -> bool:
-        return self._bank.armed(self._index)
-
-    def arm(self, delay: float) -> None:
-        self._bank.arm(self._index, delay)
-
-    def disarm(self) -> None:
-        self._bank.disarm(self._index)
-
-    def fired(self) -> None:
-        """No-op: the bank clears the slot when the tick is delivered."""
-
-
-class VectorEngine:
-    """Array-clocked deterministic event engine with cohort dispatch.
-
-    See the module docstring for the design.  Public API and schedule
-    semantics are identical to :class:`Engine`; the randomized
-    differential suite asserts event-order equivalence.
-    """
-
-    #: Index-heap compaction threshold, mirroring ``Engine.COMPACT_MIN``:
-    #: stale triples are purged when at least this many accumulate *and*
-    #: they outnumber live calendar entries.
-    COMPACT_MIN = 64
-
-    #: Initial calendar capacity (slots); the calendar doubles on demand.
-    INITIAL_CAPACITY = 256
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        cap = capacity if capacity is not None else self.INITIAL_CAPACITY
-        if cap < 1:
-            raise ValueError("calendar capacity must be >= 1")
-        self.now: float = 0.0
-        self._seq = 0
-        self._events_processed = 0
-        self._peak_pending = 0
-        # Structured calendar columns (time, seq, kind): preallocated
-        # Preallocated numpy calendar columns, published in bulk by
-        # ``calendar_snapshot()``.  The per-event hot path writes only the
-        # plain-list shadows below: a numpy scalar store costs 2-4x a list
-        # store (measured; see the module docstring's design notes), so
-        # the arrays are refreshed from the shadows on inspection instead
-        # of per push/free.
-        self._times = np.full(cap, _INF, dtype=np.float64)
-        self._seqs = np.full(cap, -1, dtype=np.int64)
-        self._kinds = np.zeros(cap, dtype=np.int8)
-        # Hot-path shadows of the time/seq/kind columns plus the target /
-        # arg / token object columns.
-        self._time_list: list[float] = [_INF] * cap
-        self._seq_list: list[int] = [-1] * cap
-        #: Per-slot prepared dispatch entry ``(seq, kind, fn, arg, token)``
-        #: — built once at push time so refill moves one reference instead
-        #: of re-packing the columns into a tuple per event.
-        self._entries: list = [None] * cap
-        #: Free slot indices (popped from the end → ascending reuse).
-        self._free = list(range(cap - 1, -1, -1))
-        #: Ordering index over the calendar: (time, seq, slot) triples.
-        self._order: list[tuple[float, int, int]] = []
-        #: Stale index triples (their slot was cancelled and recycled).
-        self._stale = 0
-        #: The ready lane: the current cohort plus immediate (zero-delay)
-        #: events, as (seq, kind, fn, arg, token) tuples in seq order.
-        self._ready: deque = deque()
-        #: Live scheduled events outside the timer banks (calendar + ready).
-        self._live = 0
-        #: Armed timer-bank slots (mirrors sum of bank ``_armed``).
-        self._bank_armed = 0
-        self._banks: list[VectorTimerBank] = []
-
-    # -- counters --------------------------------------------------------
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        """Live (non-cancelled) events currently scheduled."""
-        return self._live + self._bank_armed
-
-    @property
-    def peak_pending_events(self) -> int:
-        return self._peak_pending
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
-
-    def _note_pending(self) -> None:
-        live = self._live + self._bank_armed
-        if live > self._peak_pending:
-            self._peak_pending = live
-
-    # -- scheduling ------------------------------------------------------
-    def _alloc_slot(self) -> int:
-        free = self._free
-        if not free:
-            self._grow()
-            free = self._free
-        return free.pop()
-
-    def _grow(self) -> None:
-        old = len(self._time_list)
-        new = old * 2
-        grown = new - old
-        self._time_list.extend([_INF] * grown)
-        self._seq_list.extend([-1] * grown)
-        self._entries.extend([None] * grown)
-        self._free = list(range(new - 1, old - 1, -1))
-
-    def calendar_snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Publish the calendar columns and return ``(times, seqs, kinds)``.
-
-        The preallocated numpy arrays are refreshed from the hot-path
-        shadows in one bulk copy per call (free slots read as
-        ``inf`` / ``-1`` / ``0``), so inspection never pays a per-event
-        publication cost."""
-        cap = len(self._time_list)
-        if len(self._times) != cap:
-            self._times = np.empty(cap, dtype=np.float64)
-            self._seqs = np.empty(cap, dtype=np.int64)
-            self._kinds = np.empty(cap, dtype=np.int8)
-        self._times[:] = self._time_list
-        self._seqs[:] = self._seq_list
-        self._kinds[:] = [0 if e is None else e[1] for e in self._entries]
-        # Freed slots keep their last time/kind in the shadows (the free
-        # path writes only the seq tombstone); normalise them here.
-        freed = self._seqs == -1
-        self._times[freed] = _INF
-        self._kinds[freed] = 0
-        return self._times, self._seqs, self._kinds
-
-    def _push(
-        self,
-        delay: float,
-        kind: int,
-        fn: Callable,
-        arg: object,
-        want_token: bool,
-    ) -> Optional[VectorCancelToken]:
-        if delay < 0:
-            delay = 0.0
-        now = self.now
-        time = now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        live = self._live + self._bank_armed
-        if live > self._peak_pending:
-            self._peak_pending = live
-        if time <= now:
-            # Immediate event: its seq exceeds everything already staged
-            # in the ready lane, so FIFO append preserves (time, seq)
-            # order — unless a timer bank OR a calendar entry is also due
-            # *now*; those only merge in at the next refill, so push
-            # through the calendar then and let the refill interleave the
-            # whole cohort by seq.  (The calendar-head check matters when
-            # an earlier immediate was parked for a due bank that has
-            # since been disarmed: skipping it here would let this newer
-            # seq jump the queue.  A stale head at ``now`` only makes the
-            # check conservative, never wrong.)
-            order = self._order
-            if not (order and order[0][0] <= now):
-                for bank in self._banks:
-                    if bank._min_time <= now:
-                        break
-                else:
-                    token = (
-                        VectorCancelToken(self, -1, seq) if want_token else None
-                    )
-                    self._ready.append((seq, kind, fn, arg, token))
-                    return token
-            time = now
-        slot = self._alloc_slot()
-        token = VectorCancelToken(self, slot, seq) if want_token else None
-        self._time_list[slot] = time
-        self._seq_list[slot] = seq
-        self._entries[slot] = (seq, kind, fn, arg, token)
-        heapq.heappush(self._order, (time, seq, slot))
-        return token
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> VectorCancelToken:
-        """Schedule ``fn()`` ``delay`` cycles from now (generic,
-        cancellable escape hatch).  Returns a cancel token."""
-        return self._push(delay, KIND_CALL, fn, None, True)
-
-    def schedule_call(self, delay: float, fn: Callable, arg: object = _NO_ARG) -> None:
-        """Typed fire-and-forget schedule (see ``Engine.schedule_call``):
-        no closure, no token, just the ``(kind, fn, arg)`` columns.
-
-        This is the single hottest scheduling entry point (every Delay,
-        SM completion and queue wake lands here), so the tokenless
-        ``_push`` body is inlined rather than called."""
-        if arg is _NO_ARG:
-            kind = KIND_CALL
-            arg = None
-        else:
-            kind = KIND_CALL_ARG
-        if delay < 0:
-            delay = 0.0
-        now = self.now
-        time = now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        live = self._live + self._bank_armed
-        if live > self._peak_pending:
-            self._peak_pending = live
-        if time <= now:
-            # Same cohort-safety rule as ``_push``: the ready-lane fast
-            # append is only order-preserving when nothing else is due at
-            # ``now`` outside the lane (neither a bank nor a parked
-            # calendar entry).
-            order = self._order
-            if not (order and order[0][0] <= now):
-                for bank in self._banks:
-                    if bank._min_time <= now:
-                        break
-                else:
-                    self._ready.append((seq, kind, fn, arg, None))
-                    return
-            time = now
-        free = self._free
-        if not free:
-            self._grow()
-            free = self._free
-        slot = free.pop()
-        self._time_list[slot] = time
-        self._seq_list[slot] = seq
-        self._entries[slot] = (seq, kind, fn, arg, None)
-        heapq.heappush(self._order, (time, seq, slot))
-
-    def schedule_call_at(
-        self, time: float, fn: Callable, arg: object = _NO_ARG
-    ) -> None:
-        """Typed fire-and-forget schedule at an absolute time."""
-        self.schedule_call(max(0.0, time - self.now), fn, arg)
-
-    def schedule_many(
-        self, delay: float, fns: "list[Callable[[], None]]"
-    ) -> list[VectorCancelToken]:
-        """Schedule several callbacks at the same delay in list order."""
-        return [self._push(delay, KIND_CALL, fn, None, True) for fn in fns]
-
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> VectorCancelToken:
-        """Schedule ``fn`` at an absolute time (clamped to >= now)."""
-        return self.schedule(max(0.0, time - self.now), fn)
-
-    def timer(self, fn: Callable[[], None]) -> Timer:
-        """A reusable re-armable :class:`Timer` bound to ``fn``."""
-        return Timer(self, fn)
-
-    def timer_bank(self, size: int) -> VectorTimerBank:
-        """An array-clocked :class:`VectorTimerBank` of ``size`` slots."""
-        bank = VectorTimerBank(self, size)
-        self._banks.append(bank)
-        return bank
-
-    # -- cancellation ----------------------------------------------------
-    def _cancel_slot(self, slot: int, seq: int) -> None:
-        """Free a cancelled calendar slot (called by its token).
-
-        Ready-lane entries (``slot == -1``) and already-recycled slots
-        are suppressed at fire time instead; their live count is settled
-        when the ready lane skips them."""
-        if slot < 0 or self._seq_list[slot] != seq:
-            return
-        self._free_slot(slot)
-        self._live -= 1
-        self._stale += 1
-        if (
-            self._stale >= self.COMPACT_MIN
-            and self._stale > len(self._order) - self._stale
-        ):
-            self._compact()
-
-    def _free_slot(self, slot: int) -> None:
-        # Only the seq invalidation is load-bearing (it kills stale index
-        # triples, late cancels and double-frees).  The fn/arg/token refs
-        # are left for the next push to overwrite: the freelist is LIFO,
-        # so a freed slot is recycled almost immediately and the refs do
-        # not outlive it meaningfully.  ``calendar_snapshot`` masks freed
-        # slots by seq, so the time column needs no per-free reset.
-        self._seq_list[slot] = -1
-        self._free.append(slot)
-
-    def _compact(self) -> None:
-        """Drop stale index triples and re-heapify the survivors.
-
-        ``(time, seq)`` is a total order, so the rebuild cannot change
-        the order live events fire in (pinned by the golden tests)."""
-        seqs = self._seq_list
-        self._order = [e for e in self._order if seqs[e[2]] == e[1]]
-        heapq.heapify(self._order)
-        self._stale = 0
-
-    # -- dispatch --------------------------------------------------------
-    def _refill(self) -> bool:
-        """Advance the clock to the next timestamp and stage its whole
-        cohort — calendar entries and timer-bank ticks — in the ready
-        lane, in seq order.  Returns False when nothing is pending."""
-        order = self._order
-        seqs = self._seq_list
-        pop = heapq.heappop
-        while order:
-            head = order[0]
-            if seqs[head[2]] != head[1]:
-                pop(order)
-                self._stale -= 1
-                continue
-            break
-        cal_time = order[0][0] if order else _INF
-        bank_time = _INF
-        for bank in self._banks:
-            if bank._min_time < bank_time:
-                bank_time = bank._min_time
-        time = cal_time if cal_time <= bank_time else bank_time
-        if time == _INF:
-            return False
-        assert time >= self.now, "event scheduled in the past"
-        self.now = time
-        ready = self._ready
-        if cal_time == time:
-            # Cohort dispatch: every calendar entry at this timestamp
-            # leaves the arrays in one batch, smallest seq first (the
-            # index heap pops (time, seq) in order).
-            entries = self._entries
-            free = self._free
-            if bank_time == time:
-                # Mixed cohort: calendar entries and bank ticks share the
-                # timestamp; merge them by seq so ties fire exactly as on
-                # the scalar engine.
-                cohort: list = []
-                while order and order[0][0] == time:
-                    _t, seq, slot = pop(order)
-                    if seqs[slot] != seq:
-                        self._stale -= 1
-                        continue
-                    cohort.append(entries[slot])
-                    seqs[slot] = -1
-                    free.append(slot)
-                for bank in self._banks:
-                    if bank._min_time == time:
-                        bank._consume_cohort(time, cohort)
-                cohort.sort(key=_entry_seq)
-                ready.extend(cohort)
-            else:
-                while order and order[0][0] == time:
-                    _t, seq, slot = pop(order)
-                    if seqs[slot] != seq:
-                        self._stale -= 1
-                        continue
-                    ready.append(entries[slot])
-                    seqs[slot] = -1
-                    free.append(slot)
-        else:
-            cohort = []
-            for bank in self._banks:
-                if bank._min_time == time:
-                    bank._consume_cohort(time, cohort)
-            if len(cohort) > 1:
-                cohort.sort(key=_entry_seq)
-            ready.extend(cohort)
-        return True
-
-    def peek_time(self) -> float | None:
-        """Time of the next pending (non-cancelled) event, or None."""
-        ready = self._ready
-        while ready:
-            entry = ready[0]
-            token = entry[4]
-            if token is not None and token.cancelled:
-                ready.popleft()
-                self._live -= 1
-                continue
-            if entry[1] == KIND_BANK_TICK:
-                arr, i, seq = entry[3]
-                if arr[i] != seq:
-                    ready.popleft()
-                    self._live -= 1
-                    continue
-            return self.now
-        order = self._order
-        seqs = self._seq_list
-        while order:
-            head = order[0]
-            if seqs[head[2]] != head[1]:
-                heapq.heappop(order)
-                self._stale -= 1
-                continue
-            break
-        best = order[0][0] if order else _INF
-        for bank in self._banks:
-            if bank._min_time < best:
-                best = bank._min_time
-        return None if best == _INF else best
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when nothing is pending."""
-        ready = self._ready
-        while True:
-            while ready:
-                _seq, kind, fn, arg, token = ready.popleft()
-                if token is not None and token.cancelled:
-                    self._live -= 1
-                    continue
-                if kind == KIND_BANK_TICK:
-                    arr, i, seq = arg
-                    if arr[i] != seq:
-                        self._live -= 1
-                        continue
-                    arr[i] = -1
-                    self._live -= 1
-                    self._events_processed += 1
-                    fn()
-                    return True
-                self._live -= 1
-                self._events_processed += 1
-                if kind == KIND_CALL_ARG:
-                    fn(arg)
-                else:
-                    fn()
-                return True
-            if not self._refill():
-                return False
-
-    def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        max_events: int = 50_000_000,
-        deadline: float | None = None,
-        until_flag: list | None = None,
-    ) -> None:
-        """Run events until the calendar drains, ``until()`` becomes
-        true, or the clock passes ``deadline`` (semantics identical to
-        ``Engine.run``, including the per-event stop checks and the
-        ``until_flag`` fast form)."""
-        ready = self._ready
-        refill = self._refill
-        for _ in range(max_events):
-            if deadline is not None and self.now > deadline:
-                return
-            if until_flag is not None and until_flag[0]:
-                return
-            if until is not None and until():
-                return
-            # Select the next live event: drain the ready lane, refilling
-            # it one cohort at a time from the calendar + timer banks.
-            while True:
-                if ready:
-                    _seq, kind, fn, arg, token = ready.popleft()
-                    if token is not None and token.cancelled:
-                        self._live -= 1
-                        continue
-                    if kind == KIND_BANK_TICK:
-                        arr, i, seq = arg
-                        if arr[i] != seq:
-                            self._live -= 1
-                            continue
-                        arr[i] = -1
-                    break
-                if not refill():
-                    return
-            self._live -= 1
-            self._events_processed += 1
-            # Typed dispatch table (kind column): CALL / CALL_ARG /
-            # BANK_TICK, covering SM ticks, queue wakes, task
-            # completions and arrival deliveries without closures.
-            if kind == KIND_CALL:
-                fn()
-            elif kind == KIND_CALL_ARG:
-                fn(arg)
-            else:
-                fn()
-        raise RuntimeError(
-            f"engine exceeded {max_events} events; likely a scheduling livelock"
-        )
-
-
-def _entry_seq(entry: tuple) -> int:
-    return entry[0]
-
-
-# ----------------------------------------------------------------------
-# Engine selection.
-# ----------------------------------------------------------------------
-_default_kind: Optional[str] = None
-
-
-def set_default_engine_kind(kind: Optional[str]) -> None:
-    """Install a process-wide default engine kind (the CLI's ``--engine``
-    flag lands here).  ``None`` resets to env-var / built-in resolution."""
-    global _default_kind
-    if kind is not None and kind not in ENGINE_KINDS:
-        raise ValueError(
-            f"unknown engine kind {kind!r}; choose from {ENGINE_KINDS}"
-        )
-    _default_kind = kind
-
-
-def resolve_engine_kind(kind: Optional[str] = None) -> str:
-    """Resolve an engine kind: explicit argument > CLI default >
-    ``REPRO_ENGINE`` environment variable > built-in default."""
-    if kind is None:
-        kind = _default_kind
-    if kind is None:
-        kind = os.environ.get(ENGINE_ENV_VAR) or None
-    if kind is None:
-        kind = DEFAULT_ENGINE_KIND
-    if kind not in ENGINE_KINDS:
-        raise ValueError(
-            f"unknown engine kind {kind!r}; choose from {ENGINE_KINDS}"
-        )
-    return kind
-
-
-def make_engine(kind: Optional[str] = None):
-    """Build an event engine of the resolved kind (see
-    :func:`resolve_engine_kind`)."""
-    kind = resolve_engine_kind(kind)
-    if kind == "scalar":
-        return Engine()
-    return VectorEngine()

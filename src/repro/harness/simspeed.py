@@ -105,21 +105,14 @@ def write_golden(path: str | None = None) -> str:
     return path
 
 
-def run_case(
-    name: str, scale: str = "bench", engine: str | None = None
-) -> SimRun:
-    """Execute one canonical case on a fresh device and fingerprint it.
-
-    ``engine`` selects the event-engine implementation (``"scalar"`` /
-    ``"vector"``); ``None`` uses the session default (see
-    :func:`repro.gpu.engine.make_engine`).
-    """
+def run_case(name: str, scale: str = "bench") -> SimRun:
+    """Execute one canonical case on a fresh device and fingerprint it."""
     if name not in CANONICAL_CASES:
         raise ValueError(
             f"unknown simspeed case {name!r}; choose from {CANONICAL_CASES}"
         )
     pipeline, model, initial = _build(name, scale)
-    device = GPUDevice(K20C, engine_kind=engine)
+    device = GPUDevice(K20C)
     executor = FunctionalExecutor(pipeline)
     result = model.run(pipeline, device, executor, initial)
     return SimRun(

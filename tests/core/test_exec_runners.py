@@ -21,7 +21,7 @@ from repro.gpu import GPUDevice, K20C
 from .conftest import AdderStage, DoublerStage, SinkStage, toy_pipeline
 
 
-def make_engine(config, initial=None, pipeline=None):
+def make_hybrid(config, initial=None, pipeline=None):
     pipeline = pipeline or toy_pipeline()
     device = GPUDevice(K20C)
     engine = HybridEngine(
@@ -99,7 +99,7 @@ class TestPersistentGroupRunner:
                 ),
             )
         )
-        engine, initial = make_engine(config)
+        engine, initial = make_hybrid(config)
         tracer = engine.device.enable_tracing()
         engine.run(initial)
         assert {seg.sm_id for seg in tracer.segments} <= {2, 5, 9}
@@ -115,7 +115,7 @@ class TestPersistentGroupRunner:
                 ),
             )
         )
-        engine, initial = make_engine(config)
+        engine, initial = make_hybrid(config)
         result = engine.run(initial)
         # 3 stages x 1 block x 2 SMs.
         assert result.device_metrics.blocks_launched == 6
@@ -186,9 +186,9 @@ class TestOnlineAdapter:
         # Enough items that the downstream group still has backlog when the
         # doubler group's blocks exit (the host reaction takes ~30 us).
         initial = {"doubler": [1] * 4000}
-        static_engine, _ = make_engine(self._imbalanced_config(False))
+        static_engine, _ = make_hybrid(self._imbalanced_config(False))
         static = static_engine.run(initial)
-        adaptive_engine, _ = make_engine(self._imbalanced_config(True))
+        adaptive_engine, _ = make_hybrid(self._imbalanced_config(True))
         adaptive = adaptive_engine.run(initial)
         assert adaptive.extras["online_adaptations"] >= 1
         # At this small scale the extra launch can cost as much as it
@@ -198,6 +198,6 @@ class TestOnlineAdapter:
 
     def test_no_adaptation_without_backlog(self):
         # Tiny workload drains before any group exits with backlog left.
-        engine, _ = make_engine(self._imbalanced_config(True))
+        engine, _ = make_hybrid(self._imbalanced_config(True))
         result = engine.run({"doubler": [9]})
         assert result.extras["online_adaptations"] == 0
