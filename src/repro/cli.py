@@ -344,7 +344,7 @@ def cmd_compare(args) -> int:
         print(f"  -> {name} speedup over baseline: {base / time_ms:.2f}x")
     parallel = args.workers is not None and args.workers > 1
     if cache is not None and cache.last_run is not None and (
-        parallel or cache.disk is not None
+        parallel or cache.root is not None
     ):
         print(
             f"  (workers={args.workers or 1}; trace cache: "

@@ -1,4 +1,4 @@
-"""Persistent on-disk cache of tuner evaluations.
+"""Memoized tuner evaluations.
 
 Replaying a candidate configuration is deterministic: the same pipeline
 topology, device spec, recorded trace and configuration always produce
@@ -6,21 +6,16 @@ the same simulated time.  That makes every evaluated cell memoizable —
 repeated ``tune``/``compare`` invocations (and CI reruns) can skip
 already-simulated cells entirely.
 
-Layout
-------
-
-Each cell is one small JSON file::
-
-    <cache_dir>/<space_key[:16]>/<config_key>.json
-
-``space_key`` fingerprints everything shared by a search — the cache
-schema version, the pipeline topology (stage names, edges and kernel
-resources), the device spec, and the recorded trace (the workload seed:
-every task's stage, cost and children).  ``config_key`` additionally
-hashes the candidate configuration.  Any change to pipeline, device,
-workload or schema therefore lands in a different directory and misses
-cleanly; bumping :data:`CACHE_SCHEMA_VERSION` invalidates every existing
-entry at once.
+Cells live in an :class:`EvaluationStore`, a
+:class:`~repro.core.store.Store` (memory LRU over a directory; the store
+module owns the file layout, the load check and the atomic write).
+:func:`space_key` fingerprints everything shared by a search — the
+pipeline topology (stage names, edges and kernel resources), the device
+spec, and the recorded trace (the workload seed: every task's stage,
+cost and children) — and :func:`evaluation_key` adds the candidate
+configuration.  Any change to pipeline, device or workload therefore
+misses cleanly; bumping :data:`~repro.core.store.EVALUATION_VERSION`
+invalidates every stored cell at once.
 
 Entries record one of three outcomes:
 
@@ -34,17 +29,12 @@ Entries record one of three outcomes:
   recorded one (the run would provably time out again); otherwise the
   cell is re-evaluated and the entry overwritten.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent tuner
-workers sharing one cache directory never observe torn entries.
-
-On top of the disk store each :class:`ProfileCache` keeps a bounded
-in-memory layer, and :func:`shared_cache` hands every process one cache
-object per ``(root, space key)`` — so a persistent pool worker that
-re-searches the same space skips even the JSON reads.  Because those
-shared objects (and their hit/miss counters) outlive a dispatch, shard
-code must report *per-dispatch deltas* — snapshot :meth:`stats` before,
-subtract after — never the lifetime totals (the same discipline the
-harness applies to its trace cache).
+:meth:`EvaluationStore.shared` hands every process one store per
+directory, so a persistent pool worker that re-searches the same space
+skips even the disk reads.  Because that object (and its counters)
+outlives a dispatch, shard code reports *per-dispatch deltas* — snapshot
+:meth:`~repro.core.store.Store.stats` before, subtract after — never the
+lifetime totals.
 """
 
 from __future__ import annotations
@@ -53,23 +43,15 @@ import hashlib
 import json
 import math
 import os
-import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..config import PipelineConfig
 from ..pipeline import Pipeline
+from ..store import EVALUATION_VERSION, Store
 from ..trace import Trace
 from ...gpu.specs import GPUSpec
 from .profiler import QueuePressure
-
-#: Bump to invalidate every existing cache entry (schema change).
-#: v2: completed entries carry exact elapsed engine ``cycles``.
-CACHE_SCHEMA_VERSION = 2
-
-#: Decoded entries retained in one cache object's memory layer.
-MEMORY_CACHE_ENTRIES = 4096
 
 #: Default location honoured by ``repro tune --cache-dir`` with no value.
 DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "repro-tuner")
@@ -153,286 +135,80 @@ class CachedEvaluation:
     #: the cycle domain, so they must round-trip losslessly.
     cycles: float = 0.0
 
-    def to_payload(self) -> dict:
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "status": self.status,
-            "note": self.note,
-        }
+    def serves(self, deadline_cycles: float) -> bool:
+        """Whether this outcome answers a replay under ``deadline_cycles``.
+
+        A timeout only answers deadlines no looser than the one it ran
+        past: a longer deadline might let the cell finish.
+        """
+        if self.status != "timeout":
+            return True
+        return self.exceeded_cycles >= deadline_cycles
+
+    def well_formed(self) -> bool:
+        """The field checks a stored cell must pass before it is served."""
         if self.status == "completed":
-            payload["time_ms"] = self.time_ms
-            payload["cycles"] = self.cycles
-            if self.pressure is not None:
-                payload["pressure"] = {
-                    "peak": dict(self.pressure.peak_per_stage),
-                    "residual": dict(self.pressure.residual_per_stage),
-                }
+            return (
+                isinstance(self.time_ms, (int, float))
+                and isinstance(self.cycles, (int, float))
+                and (
+                    self.pressure is None
+                    or isinstance(self.pressure, QueuePressure)
+                )
+            )
         if self.status == "timeout":
-            payload["exceeded_cycles"] = self.exceeded_cycles
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> Optional["CachedEvaluation"]:
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        status = payload.get("status")
-        if status == "completed":
-            time_ms = payload.get("time_ms")
-            cycles = payload.get("cycles")
-            if not isinstance(time_ms, (int, float)):
-                return None
-            if not isinstance(cycles, (int, float)):
-                return None
-            pressure = None
-            raw = payload.get("pressure")
-            if isinstance(raw, dict):
-                pressure = QueuePressure(
-                    peak_per_stage=dict(raw.get("peak", {})),
-                    residual_per_stage=dict(raw.get("residual", {})),
-                )
-            return cls(
-                status="completed",
-                time_ms=float(time_ms),
-                note=str(payload.get("note", "")),
-                pressure=pressure,
-                cycles=float(cycles),
-            )
-        if status == "invalid":
-            return cls(status="invalid", note=str(payload.get("note", "")))
-        if status == "timeout":
-            exceeded = payload.get("exceeded_cycles")
-            if not isinstance(exceeded, (int, float)):
-                return None
-            return cls(status="timeout", exceeded_cycles=float(exceeded))
-        return None
+            return isinstance(self.exceeded_cycles, (int, float))
+        return self.status == "invalid"
 
 
-@dataclass(frozen=True)
-class ProfileCacheStats:
-    """Immutable hit/miss counters; deltas subtract, merges add.
-
-    Mirrors the harness's ``TraceCacheStats`` idiom: shard code
-    snapshots a cache's lifetime counters before working and returns
-    ``after - before``, so per-dispatch numbers stay correct however
-    long the persistent workers (and their shared cache objects) live.
-    """
-
-    mem_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.mem_hits + self.disk_hits
-
-    def __add__(self, other: "ProfileCacheStats") -> "ProfileCacheStats":
-        return ProfileCacheStats(
-            mem_hits=self.mem_hits + other.mem_hits,
-            disk_hits=self.disk_hits + other.disk_hits,
-            misses=self.misses + other.misses,
-            stores=self.stores + other.stores,
-        )
-
-    def __sub__(self, other: "ProfileCacheStats") -> "ProfileCacheStats":
-        return ProfileCacheStats(
-            mem_hits=self.mem_hits - other.mem_hits,
-            disk_hits=self.disk_hits - other.disk_hits,
-            misses=self.misses - other.misses,
-            stores=self.stores - other.stores,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "mem_hits": self.mem_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-        }
-
-    def describe(self) -> str:
-        return (
-            f"{self.hits} hits / {self.misses} misses "
-            f"(memory: {self.mem_hits}, disk: {self.disk_hits}; "
-            f"{self.stores} stores)"
-        )
-
-
-class ProfileCache:
-    """Reads and writes memoized evaluations for one search space.
-
-    Lookups consult a bounded in-memory layer before touching disk;
-    stores write through to both.  Lifetime counters feed
-    :meth:`stats`; consumers that need per-run numbers must subtract a
-    snapshot (see :class:`ProfileCacheStats`).
-    """
-
-    def __init__(self, root: str, space_key: str) -> None:
-        self.root = os.path.expanduser(root)
-        self.space_key = space_key
-        self.space_dir = os.path.join(self.root, space_key[:16])
-        self._memory: "OrderedDict[str, CachedEvaluation]" = OrderedDict()
-        self._mem_hits = 0
-        self._disk_hits = 0
-        self._misses = 0
-        self._stores = 0
-
-    @classmethod
-    def open(
-        cls,
-        cache_dir: str,
-        pipeline: Pipeline,
-        spec: GPUSpec,
-        trace: Trace,
-    ) -> "ProfileCache":
-        space_key = _digest(
-            "|".join(
-                (
-                    f"schema={CACHE_SCHEMA_VERSION}",
-                    pipeline_fingerprint(pipeline),
-                    spec_fingerprint(spec),
-                    trace_fingerprint(trace),
-                )
+def space_key(pipeline: Pipeline, spec: GPUSpec, trace: Trace) -> str:
+    """Fingerprint of one search space: pipeline, device and trace."""
+    return _digest(
+        "|".join(
+            (
+                pipeline_fingerprint(pipeline),
+                spec_fingerprint(spec),
+                trace_fingerprint(trace),
             )
         )
-        return cls(cache_dir, space_key)
+    )
 
-    # ------------------------------------------------------------------
-    def path_for(self, config: PipelineConfig) -> str:
-        return os.path.join(
-            self.space_dir, config_fingerprint(config) + ".json"
-        )
 
-    @staticmethod
-    def _usable(
-        entry: Optional[CachedEvaluation], deadline_cycles: float
-    ) -> Optional[CachedEvaluation]:
-        if entry is None:
-            return None
-        if entry.status == "timeout" and entry.exceeded_cycles < deadline_cycles:
-            return None  # a longer deadline might let this cell finish
-        return entry
+def evaluation_key(space: str, config: PipelineConfig) -> str:
+    """Store key of one cell: its search space plus the configuration."""
+    return _digest(f"{space}|{config_fingerprint(config)}")
 
-    def _remember(self, key: str, entry: CachedEvaluation) -> None:
-        self._memory[key] = entry
-        self._memory.move_to_end(key)
-        while len(self._memory) > MEMORY_CACHE_ENTRIES:
-            self._memory.popitem(last=False)
+
+class EvaluationStore(Store):
+    """Memoized replay outcomes of tuner candidates."""
+
+    kind = "eval"
+    version = EVALUATION_VERSION
+    value_type = CachedEvaluation
+    max_entries = 4096
+
+    def valid(self, value: CachedEvaluation) -> bool:
+        return value.well_formed()
 
     def lookup(
-        self, config: PipelineConfig, deadline_cycles: float = math.inf
+        self,
+        space: str,
+        config: PipelineConfig,
+        deadline_cycles: float = math.inf,
     ) -> Optional[CachedEvaluation]:
-        """Return the memoized outcome, or None when it must be replayed.
+        """The memoized outcome, or None when the cell must be replayed.
 
-        A ``timeout`` entry only satisfies deadlines at least as strict
-        as the one it was recorded under.  An unusable memory entry
+        An unusable memory entry (a timeout under a looser deadline)
         falls through to disk — a concurrent worker may have overwritten
         the cell with a completed or longer-deadline outcome.
         """
-        key = config_fingerprint(config)
-        cached = self._usable(self._memory.get(key), deadline_cycles)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            self._mem_hits += 1
-            return cached
-        try:
-            with open(
-                os.path.join(self.space_dir, key + ".json"),
-                "r",
-                encoding="utf-8",
-            ) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            self._misses += 1
-            return None
-        entry = self._usable(CachedEvaluation.from_payload(payload), deadline_cycles)
-        if entry is None:
-            self._misses += 1
-            return None
-        self._remember(key, entry)
-        self._disk_hits += 1
-        return entry
-
-    def store(self, config: PipelineConfig, entry: CachedEvaluation) -> None:
-        """Atomically write one cell (concurrent writers are safe)."""
-        key = config_fingerprint(config)
-        os.makedirs(self.space_dir, exist_ok=True)
-        payload = json.dumps(entry.to_payload(), sort_keys=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.space_dir, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp_path, os.path.join(self.space_dir, key + ".json"))
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self._remember(key, entry)
-        self._stores += 1
-
-    def stats(self) -> ProfileCacheStats:
-        """Lifetime counters (snapshot-and-delta for per-run numbers)."""
-        return ProfileCacheStats(
-            mem_hits=self._mem_hits,
-            disk_hits=self._disk_hits,
-            misses=self._misses,
-            stores=self._stores,
+        return self.get(
+            evaluation_key(space, config),
+            usable=lambda entry: entry.serves(deadline_cycles),
         )
 
-    # ------------------------------------------------------------------
-    def entry_count(self) -> int:
-        """Number of memoized cells for this search space."""
-        try:
-            return sum(
-                1
-                for name in os.listdir(self.space_dir)
-                if name.endswith(".json") and not name.startswith(".tmp-")
-            )
-        except OSError:
-            return 0
-
-    def clear(self) -> int:
-        """Drop every cell of this search space; returns how many."""
-        removed = 0
-        self._memory.clear()
-        try:
-            names = os.listdir(self.space_dir)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                os.unlink(os.path.join(self.space_dir, name))
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-#: Per-process registry: one cache object (and one memory layer) per
-#: ``(expanded root, space key)``.  Persistent pool workers get cache
-#: reuse across dispatches for free; the parent gets the same object on
-#: every rung of one search.
-_SHARED_CACHES: dict[tuple[str, str], ProfileCache] = {}
-
-
-def shared_cache(root: str, space_key: str) -> ProfileCache:
-    """The process-wide :class:`ProfileCache` for one search space."""
-    key = (os.path.expanduser(root), space_key)
-    cache = _SHARED_CACHES.get(key)
-    if cache is None:
-        cache = ProfileCache(root, space_key)
-        _SHARED_CACHES[key] = cache
-    return cache
-
-
-def clear_shared_caches() -> None:
-    """Forget every shared cache object (test isolation hook)."""
-    _SHARED_CACHES.clear()
+    def record(
+        self, space: str, config: PipelineConfig, entry: CachedEvaluation
+    ) -> None:
+        """Memoize one cell (written atomically when disk-backed)."""
+        self.put(evaluation_key(space, config), entry)

@@ -34,8 +34,9 @@ import hashlib
 import math
 import pickle
 import struct
-from collections import OrderedDict
 from typing import Optional
+
+from ..store import Store
 
 try:  # POSIX + Windows both have it; some minimal builds do not.
     from multiprocessing import shared_memory as _shm
@@ -51,7 +52,7 @@ SHARED_MIN_BYTES = 64 * 1024
 RESOLVE_CACHE_ENTRIES = 8
 
 #: Worker-side cache: content fingerprint -> decoded payload.
-_RESOLVED: "OrderedDict[str, object]" = OrderedDict()
+_RESOLVED = Store(max_entries=RESOLVE_CACHE_ENTRIES)
 
 #: Parent-side names of segments published but not yet released —
 #: introspection for leak tests and diagnostics.
@@ -65,14 +66,8 @@ def live_segment_names() -> frozenset[str]:
 
 def clear_resolve_cache() -> None:
     """Drop every cached decoded payload (test isolation hook)."""
-    _RESOLVED.clear()
-
-
-def _remember(key: str, value: object) -> None:
-    _RESOLVED[key] = value
-    _RESOLVED.move_to_end(key)
-    while len(_RESOLVED) > RESOLVE_CACHE_ENTRIES:
-        _RESOLVED.popitem(last=False)
+    global _RESOLVED
+    _RESOLVED = Store(max_entries=RESOLVE_CACHE_ENTRIES)
 
 
 def _attach_untracked(name: str):
@@ -150,9 +145,9 @@ class SharedPayload:
 
     def resolve(self) -> object:
         """The decoded payload, from the per-process cache when possible."""
-        if self.key in _RESOLVED:
-            _RESOLVED.move_to_end(self.key)
-            return _RESOLVED[self.key]
+        value = _RESOLVED.get(self.key)
+        if value is not None:
+            return value
         if _shm is None:  # pragma: no cover - publish side guards this
             raise pickle.UnpicklingError(
                 "shared-memory payload received on a platform without "
@@ -163,7 +158,7 @@ class SharedPayload:
             value = pickle.loads(segment.buf[: self.size])
         finally:
             segment.close()
-        _remember(self.key, value)
+        _RESOLVED.put(self.key, value)
         return value
 
     def release(self) -> None:

@@ -80,12 +80,8 @@ from ..errors import ConfigurationError, ExecutionError, VersaPipeError
 from ..executor import ReplayExecutor
 from ..pipeline import Pipeline
 from ..trace import Trace
-from .cache import (
-    CachedEvaluation,
-    ProfileCache,
-    ProfileCacheStats,
-    shared_cache,
-)
+from ..store import StoreStats
+from .cache import CachedEvaluation, EvaluationStore, space_key
 from .handoff import SharedBest
 from .pool import default_workers, map_shards, stride_shards
 from .profiler import (
@@ -202,7 +198,7 @@ class TunerReport:
     #: Worker processes the search actually used.
     workers: int = 1
     #: Per-dispatch profile-cache counter deltas (zeros when disabled).
-    cache_stats: ProfileCacheStats = field(default_factory=ProfileCacheStats)
+    cache_stats: StoreStats = field(default_factory=StoreStats)
 
     @property
     def num_evaluated(self) -> int:
@@ -284,7 +280,7 @@ class _ShardResult:
     records: list[EvaluatedConfig]
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_stats: ProfileCacheStats = field(default_factory=ProfileCacheStats)
+    cache_stats: StoreStats = field(default_factory=StoreStats)
 
 
 @dataclass
@@ -362,9 +358,10 @@ def _evaluate_shard(
     pipeline = payload.pipeline
     spec = payload.spec
     options = payload.options
+    space = payload.cache_space_key
     cache = (
-        shared_cache(options.cache_dir, payload.cache_space_key)
-        if options.cache_dir and payload.cache_space_key
+        EvaluationStore.shared(options.cache_dir)
+        if options.cache_dir and space
         else None
     )
     stats_before = cache.stats() if cache is not None else None
@@ -396,7 +393,7 @@ def _evaluate_shard(
                 )
                 continue
         if cache is not None:
-            entry = cache.lookup(config, deadline_cycles=deadline)
+            entry = cache.lookup(space, config, deadline_cycles=deadline)
             if entry is not None:
                 record = _record_from_cache(config, index, entry)
                 result.records.append(record)
@@ -412,7 +409,8 @@ def _evaluate_shard(
                 EvaluatedConfig(config, math.inf, note="timeout", index=index)
             )
             if cache is not None:
-                cache.store(
+                cache.record(
+                    space,
                     config,
                     CachedEvaluation(
                         status="timeout", exceeded_cycles=deadline
@@ -426,7 +424,8 @@ def _evaluate_shard(
                 )
             )
             if cache is not None:
-                cache.store(
+                cache.record(
+                    space,
                     config,
                     CachedEvaluation(status="invalid", note=f"invalid: {exc}"),
                 )
@@ -437,7 +436,8 @@ def _evaluate_shard(
             )
         )
         if cache is not None:
-            cache.store(
+            cache.record(
+                space,
                 config,
                 CachedEvaluation(
                     status="completed",
@@ -551,7 +551,7 @@ class OfflineTuner:
         alive = list(enumerate(candidates))
         eliminated: dict[int, EvaluatedConfig] = {}
         final_records: list[EvaluatedConfig] = []
-        cache_stats = ProfileCacheStats()
+        cache_stats = StoreStats()
         for rung_number, (rung_trace, rung_profile) in enumerate(rungs):
             if not alive:
                 break
@@ -641,11 +641,11 @@ class OfflineTuner:
         the final full-trace rung.
         """
         options = replace(self.options, timeout_slack=rung_slack)
-        space_key = None
-        if options.cache_dir:
-            space_key = ProfileCache.open(
-                options.cache_dir, self.pipeline, self.spec, rung_trace
-            ).space_key
+        space = (
+            space_key(self.pipeline, self.spec, rung_trace)
+            if options.cache_dir
+            else None
+        )
         shared = SharedBest.create() if workers > 1 else None
         payload = _SearchPayload(
             pipeline=self.pipeline,
@@ -654,7 +654,7 @@ class OfflineTuner:
             profile=rung_profile,
             options=options,
             shared_best=shared,
-            cache_space_key=space_key,
+            cache_space_key=space,
         )
         try:
             items = alive

@@ -18,7 +18,7 @@ old spawn-per-invocation ``ctx.Pool`` matters twice over:
   tuner search) are no longer dominated by pool start-up;
 * workers retain their per-process state — decoded payloads
   (:mod:`~repro.core.tuner.handoff`), disk-backed trace caches
-  (:func:`repro.harness.tracecache.process_cache`) — across dispatches,
+  (:meth:`repro.core.store.Store.shared`) — across dispatches,
   so repeated suites replay from worker memory instead of re-reading
   and re-unpickling traces every time.
 

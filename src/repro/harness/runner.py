@@ -25,19 +25,12 @@ from ..core.tuner.profiler import (
     profile_pipeline,
     replay_placeholders,
 )
-from ..core.tuner.pool import map_shards, stride_shards
 from ..gpu.device import GPUDevice
-from ..gpu.specs import GPUSpec, K20C, get_spec
+from ..gpu.specs import GPUSpec, K20C
 from ..obs import Observer, RunReport, TunerStats
 from ..obs.events import EventBus
 from ..workloads.registry import WorkloadSpec, get_workload
-from .tracecache import (
-    DEFAULT_TRACE_CACHE,
-    TraceCache,
-    TraceCacheStats,
-    process_cache,
-    workload_fingerprint,
-)
+from .tracecache import DEFAULT_TRACE_CACHE, TraceCache, workload_fingerprint
 
 
 @dataclass
@@ -145,74 +138,6 @@ def run_cell(
     )
 
 
-def _with_disk_layer(
-    cache: Optional[TraceCache], cache_dir: Optional[str]
-) -> Optional[TraceCache]:
-    """Layer ``cache_dir`` under a memory-only cache (``None`` stays off)."""
-    if cache is None or cache_dir is None or cache.disk is not None:
-        return cache
-    return TraceCache(max_entries=cache.max_entries, disk_dir=cache_dir)
-
-
-def _effective_cache_dir(
-    cache: Optional[TraceCache], cache_dir: Optional[str]
-) -> Optional[str]:
-    """The disk directory parallel workers should share, if any."""
-    if cache_dir is not None:
-        return cache_dir
-    if cache is not None and cache.disk is not None:
-        return cache.disk.root
-    return None
-
-
-@dataclass(frozen=True)
-class _CandidatePayload:
-    """Worker payload for parallel VersaPipe candidate evaluation."""
-
-    workload: str
-    device: str
-    params: object
-    check: bool
-    observe: bool
-    batch_size: Optional[int]
-    cache_dir: Optional[str]
-    replay_cache: bool
-
-
-def _run_candidate_shard(
-    payload: _CandidatePayload, shard: list
-) -> tuple[list[ExperimentCell], TraceCacheStats]:
-    spec = get_workload(payload.workload)
-    gpu = get_spec(payload.device)
-    cache: Optional[TraceCache] = None
-    if payload.replay_cache:
-        # Same per-process persistence + per-dispatch delta accounting
-        # as the suite shards (see pool._run_cell_shard).
-        if payload.cache_dir:
-            cache = process_cache(payload.cache_dir)
-        else:
-            cache = TraceCache()
-    before = cache.stats() if cache is not None else TraceCacheStats()
-    cells = [
-        run_cell(
-            spec,
-            HybridModel(config),
-            gpu,
-            payload.params,
-            check=payload.check,
-            label="versapipe",
-            observe=payload.observe,
-            batch_size=payload.batch_size,
-            cache=cache,
-        )
-        for config in shard
-    ]
-    stats = (
-        cache.stats() - before if cache is not None else TraceCacheStats()
-    )
-    return cells, stats
-
-
 def run_versapipe(
     spec: WorkloadSpec,
     gpu: GPUSpec,
@@ -221,8 +146,6 @@ def run_versapipe(
     observe: bool = False,
     batch_size: Optional[int] = None,
     cache: Optional[TraceCache] = DEFAULT_TRACE_CACHE,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> ExperimentCell:
     """Run the workload as VersaPipe would: pick the fastest hybrid plan.
 
@@ -230,19 +153,12 @@ def run_versapipe(
     configuration; mirroring that, this evaluates the workload's
     paper-described plan *and* the all-stage megakernel grouping (always in
     the tuner's search space) — both with online adaptation — and reports
-    the faster.
-
-    ``workers`` > 1 evaluates the candidate plans in parallel worker
-    processes (sharing functional work through ``cache_dir``'s disk
-    layer); the winner is byte-identical to the serial pick because every
-    candidate simulates deterministically on its own device.  Either way
-    ``cache.last_run`` is set to this call's cache-counter delta so
-    ``repro stats`` reports per-run numbers.
+    the faster.  ``cache.last_run`` is set to this call's cache-counter
+    delta so ``repro stats`` reports per-run numbers.
     """
     from ..core.config import GroupConfig, PipelineConfig
 
     params = params if params is not None else spec.default_params()
-    cache = _with_disk_layer(cache, cache_dir)
     pipeline = spec.build_pipeline(params)
     described = spec.versapipe_config(pipeline, gpu, params)
     candidates = [
@@ -262,37 +178,6 @@ def run_versapipe(
             online_adaptation=True,
         ),
     ]
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1 and len(candidates) > 1:
-        payload = _CandidatePayload(
-            workload=spec.name,
-            device=gpu.name,
-            params=params,
-            check=check,
-            observe=observe,
-            batch_size=batch_size,
-            cache_dir=_effective_cache_dir(cache, cache_dir),
-            replay_cache=cache is not None,
-        )
-        shards = stride_shards(candidates, workers)
-        shard_results = map_shards(
-            _run_candidate_shard, payload, shards, workers
-        )
-        count = len(shards)
-        merged: list[Optional[ExperimentCell]] = [None] * len(candidates)
-        stats = TraceCacheStats()
-        for offset, (cells, shard_stats) in enumerate(shard_results):
-            merged[offset::count] = cells
-            stats = stats + shard_stats
-        if cache is not None:
-            cache.last_run = stats
-        best = None
-        for cell in merged:
-            if best is None or cell.time_ms < best.time_ms:
-                best = cell
-        return best
     before = cache.stats() if cache is not None else None
     best = None
     for config in candidates:
@@ -323,7 +208,6 @@ def run_workload_models(
     batch_size: Optional[int] = None,
     cache: Optional[TraceCache] = DEFAULT_TRACE_CACHE,
     workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> dict[str, ExperimentCell]:
     """The three Table 2 columns for one workload: baseline, megakernel,
     versapipe.
@@ -332,13 +216,12 @@ def run_workload_models(
     remaining columns replay it (compute once, simulate many); pass
     ``cache=None`` to run every column functionally.  ``workers`` > 1
     fans the three columns across worker processes (sharing functional
-    work through ``cache_dir``'s disk layer) with byte-identical
-    simulated results; ``cache.last_run`` always carries this call's
-    cache-counter delta.
+    work through the cache's directory, if it has one) with
+    byte-identical simulated results; ``cache.last_run`` always carries
+    this call's cache-counter delta.
     """
     spec = get_workload(name)
     params = params if params is not None else spec.default_params()
-    cache = _with_disk_layer(cache, cache_dir)
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -355,7 +238,7 @@ def run_workload_models(
             check=check,
             observe=observe,
             batch_size=batch_size,
-            cache_dir=_effective_cache_dir(cache, cache_dir),
+            cache_dir=cache.root if cache is not None else None,
             replay_cache=cache is not None,
             params={spec.name: params},
         )
@@ -466,47 +349,21 @@ def tune_workload(
     )
 
 
-#: Fixed fan-in of the report reduction tree.  Chunk boundaries depend
-#: only on the report count — never on the worker count — so serial and
-#: parallel aggregation sum the same floats in the same order and the
-#: merged report is byte-identical for any ``workers``.
-_AGGREGATE_CHUNK = 8
-
-
-def _aggregate_chunk(label: str, reports: list) -> RunReport:
-    return RunReport.aggregate(reports, label=label)
-
-
 def aggregate_reports(
     cells: Iterable[ExperimentCell],
     label: str = "sweep",
-    workers: Optional[int] = None,
 ) -> RunReport:
     """Roll the observed cells of a sweep into one :class:`RunReport`.
 
     Cells run without ``observe=True`` carry no report and are skipped;
-    the aggregate's ``runs`` field counts only the observed ones.  More
-    than :data:`_AGGREGATE_CHUNK` reports reduce through a fixed-shape
-    chunk tree (optionally fanned across ``workers`` processes); the
-    tree's shape is a function of the report count alone, keeping the
-    float sums — and therefore the result — independent of ``workers``.
+    the aggregate's ``runs`` field counts only the observed ones.
     """
     reports = [
         cell.result.report
         for cell in cells
         if cell.result is not None and cell.result.report is not None
     ]
-    if len(reports) <= _AGGREGATE_CHUNK:
-        return RunReport.aggregate(reports, label=label)
-    chunks = [
-        reports[i : i + _AGGREGATE_CHUNK]
-        for i in range(0, len(reports), _AGGREGATE_CHUNK)
-    ]
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    partials = map_shards(_aggregate_chunk, label, chunks, workers)
-    return RunReport.aggregate(partials, label=label)
+    return RunReport.aggregate(reports, label=label)
 
 
 def longest_stage_ms(

@@ -37,7 +37,6 @@ from .export import (
 from .hist import LogBucketHistogram, WindowSeries
 from .recorder import EventRecorder
 from .report import (
-    LatencyHistogram,
     QueueDepthSummary,
     RunReport,
     SMActivity,
@@ -109,7 +108,6 @@ __all__ = [
     "EVENT_TYPES",
     "EventBus",
     "EventRecorder",
-    "LatencyHistogram",
     "LogBucketHistogram",
     "Observer",
     "QueueDepthSummary",

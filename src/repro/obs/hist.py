@@ -1,13 +1,12 @@
 """Streaming, mergeable metrics: fine log-bucket histograms and
 fixed-window rate series.
 
-The coarse power-of-two :class:`~repro.obs.report.LatencyHistogram` is
-fine for order-of-magnitude queue-wait attribution, but tail-latency
-accounting (p99/p999 under an SLO) needs sub-octave resolution.
-:class:`LogBucketHistogram` quantises each sample to an integer number
-of microseconds and buckets it logarithmically with
-:data:`SUBBUCKETS_PER_OCTAVE` linear sub-buckets per power of two, so
-every bucket spans at most ``2**(1/8) - 1`` (about 9 %) of its value.
+Tail-latency accounting (p99/p999 under an SLO) needs sub-octave
+resolution.  :class:`LogBucketHistogram` quantises each sample to an
+integer (microseconds for the serving layer's millisecond latencies,
+cycles for a run report's queue waits) and buckets it logarithmically
+with :data:`SUBBUCKETS_PER_OCTAVE` linear sub-buckets per power of two,
+so every bucket spans at most ``2**(1/8) - 1`` (about 9 %) of its value.
 
 Everything here is **deterministic and exactly mergeable**:
 
@@ -35,7 +34,7 @@ ZERO_KEY = -1
 
 
 def _bucket_key(units: int) -> int:
-    """Bucket key of a non-negative integer sample (in microseconds)."""
+    """Bucket key of a non-negative quantised sample."""
     if units < 1:
         return ZERO_KEY
     exponent = units.bit_length() - 1
@@ -44,7 +43,7 @@ def _bucket_key(units: int) -> int:
 
 
 def _bucket_edges(key: int) -> tuple[float, float]:
-    """``[lo, hi)`` of one bucket, in the integer microsecond domain."""
+    """``[lo, hi)`` of one bucket, in the quantised domain."""
     if key == ZERO_KEY:
         return 0.0, 1.0
     exponent, sub = divmod(key, SUBBUCKETS_PER_OCTAVE)
@@ -56,29 +55,34 @@ def _bucket_edges(key: int) -> tuple[float, float]:
 
 @dataclass
 class LogBucketHistogram:
-    """A mergeable log-bucket histogram over millisecond samples.
+    """A mergeable log-bucket histogram.
 
-    Samples are clamped to >= 0 and quantised to integer microseconds;
-    percentiles interpolate linearly inside a bucket and clamp to the
-    exact observed ``[min, max]``, so the tails never over-report.
+    Samples are clamped to >= 0 and quantised to integers at ``units``
+    steps per sample unit: the default buckets millisecond samples at
+    1 us, ``units=1`` buckets cycle samples at one cycle.  Percentiles
+    interpolate linearly inside a bucket and clamp to the exact observed
+    ``[min, max]``, so the tails never over-report.  Histograms merge
+    only with histograms of the same ``units``.
     """
 
     count: int = 0
-    #: Sum of the quantised samples, in integer microseconds — an int so
-    #: merging is associative and the mean is split-order invariant.
+    #: Sum of the quantised samples — an int so merging is associative
+    #: and the mean is split-order invariant.
     total_units: int = 0
     min: float = 0.0
     max: float = 0.0
     buckets: dict[int, int] = field(default_factory=dict)
+    #: Quantisation steps per sample unit.
+    units: int = UNITS_PER_MS
 
-    def add(self, value_ms: float) -> None:
-        value_ms = max(0.0, value_ms)
-        if self.count == 0 or value_ms < self.min:
-            self.min = value_ms
-        if value_ms > self.max:
-            self.max = value_ms
+    def add(self, value: float) -> None:
+        value = max(0.0, value)
+        if self.count == 0 or value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         self.count += 1
-        units = int(value_ms * UNITS_PER_MS)
+        units = int(value * self.units)
         self.total_units += units
         key = _bucket_key(units)
         self.buckets[key] = self.buckets.get(key, 0) + 1
@@ -87,10 +91,10 @@ class LogBucketHistogram:
     def mean(self) -> float:
         if not self.count:
             return 0.0
-        return self.total_units / (self.count * UNITS_PER_MS)
+        return self.total_units / (self.count * self.units)
 
     def percentile(self, p: float) -> float:
-        """Percentile ``p`` in [0, 100], in milliseconds.
+        """Percentile ``p`` in [0, 100], in sample units.
 
         Deterministic: depends only on the bucket counts and the exact
         min/max, all of which merge exactly — so a merged histogram
@@ -105,7 +109,7 @@ class LogBucketHistogram:
             if seen + n >= rank:
                 lo, hi = _bucket_edges(key)
                 frac = (rank - seen) / n
-                value = (lo + frac * (hi - lo)) / UNITS_PER_MS
+                value = (lo + frac * (hi - lo)) / self.units
                 return min(self.max, max(self.min, value))
             seen += n
         return self.max

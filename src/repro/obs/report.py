@@ -40,78 +40,26 @@ from .events import (
     TunerEvaluation,
     TunerSearchCompleted,
 )
+from .hist import LogBucketHistogram
 
 
-@dataclass
-class LatencyHistogram:
-    """A mergeable power-of-two-bucket latency histogram (cycles).
+def _cycle_histogram() -> LogBucketHistogram:
+    """A queue-wait histogram: cycle samples at one-cycle resolution."""
+    return LogBucketHistogram(units=1)
 
-    Bucket ``k`` holds samples in ``[2**(k-1), 2**k)`` (bucket 0 holds
-    ``[0, 1)``); percentiles interpolate linearly inside a bucket, which
-    is plenty for order-of-magnitude latency attribution and keeps the
-    report mergeable across runs without storing raw samples.
-    """
 
-    count: int = 0
-    total: float = 0.0
-    min: float = 0.0
-    max: float = 0.0
-    buckets: dict[int, int] = field(default_factory=dict)
-
-    def add(self, value: float) -> None:
-        value = max(0.0, value)
-        if self.count == 0 or value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.count += 1
-        self.total += value
-        key = int(value).bit_length()
-        self.buckets[key] = self.buckets.get(key, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Approximate percentile ``p`` in [0, 100]."""
-        if self.count == 0:
-            return 0.0
-        rank = p / 100.0 * self.count
-        seen = 0.0
-        for key in sorted(self.buckets):
-            n = self.buckets[key]
-            if seen + n >= rank:
-                lo = 0.0 if key == 0 else float(2 ** (key - 1))
-                hi = float(2**key)
-                frac = (rank - seen) / n
-                return min(self.max, max(self.min, lo + frac * (hi - lo)))
-            seen += n
-        return self.max
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0 or other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.count += other.count
-        self.total += other.total
-        for key, n in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + n
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
+def _latency_dict(histogram: LogBucketHistogram) -> dict:
+    """The ``stage_latency`` entry of :meth:`RunReport.to_dict`."""
+    return {
+        "count": histogram.count,
+        "mean": histogram.mean,
+        "min": histogram.min,
+        "max": histogram.max,
+        "p50": histogram.percentile(50),
+        "p90": histogram.percentile(90),
+        "p99": histogram.percentile(99),
+        "buckets": {str(k): v for k, v in sorted(histogram.buckets.items())},
+    }
 
 
 @dataclass
@@ -237,7 +185,8 @@ class RunReport:
     elapsed_ms: float = 0.0
     num_events: int = 0
     counters: dict[str, float] = field(default_factory=dict)
-    stage_latency: dict[str, LatencyHistogram] = field(default_factory=dict)
+    #: Queue wait per stage, in cycles (see :func:`_cycle_histogram`).
+    stage_latency: dict[str, LogBucketHistogram] = field(default_factory=dict)
     stage_tasks: dict[str, StageTaskStats] = field(default_factory=dict)
     sm_activity: dict[int, SMActivity] = field(default_factory=dict)
     queue_depth: dict[str, QueueDepthSummary] = field(default_factory=dict)
@@ -351,7 +300,7 @@ class RunReport:
                     if histogram is None:
                         histogram = report.stage_latency[
                             event.stage
-                        ] = LatencyHistogram()
+                        ] = _cycle_histogram()
                     stop = min(head + event.count, len(times))
                     for i in range(head, stop):
                         histogram.add(event.t - times[i])
@@ -429,7 +378,7 @@ class RunReport:
             self.counters[key] = self.counters.get(key, 0) + value
         for stage, histogram in other.stage_latency.items():
             self.stage_latency.setdefault(
-                stage, LatencyHistogram()
+                stage, _cycle_histogram()
             ).merge(histogram)
         for stage, stats in other.stage_tasks.items():
             self.stage_tasks.setdefault(stage, StageTaskStats()).merge(stats)
@@ -462,7 +411,8 @@ class RunReport:
             "num_events": self.num_events,
             "counters": dict(self.counters),
             "stage_latency": {
-                stage: h.to_dict() for stage, h in self.stage_latency.items()
+                stage: _latency_dict(h)
+                for stage, h in self.stage_latency.items()
             },
             "stage_tasks": {
                 stage: s.to_dict() for stage, s in self.stage_tasks.items()
@@ -498,7 +448,7 @@ class RunReport:
                 if stage not in self.stage_latency:
                     stages.append(stage)
             for stage in stages:
-                histogram = self.stage_latency.get(stage, LatencyHistogram())
+                histogram = self.stage_latency.get(stage, _cycle_histogram())
                 tasks = self.stage_tasks.get(stage, StageTaskStats()).tasks
                 count = tasks or histogram.count
                 lines.append(

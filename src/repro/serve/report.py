@@ -31,10 +31,9 @@ from .slo import SLOTracker
 #: series, SLO ``shed``/``offered_attainment``) and the re-tune log.
 SERVE_SCHEMA_VERSION = 2
 
-#: Fixed fan-in of the serve-report reduction tree (mirrors the
-#: harness's ``_AGGREGATE_CHUNK``): chunk boundaries depend only on the
-#: report count, so any worker split folds the same floats in the same
-#: order.
+#: Fixed fan-in of the serve-report reduction tree: chunk boundaries
+#: depend only on the report count, so any worker split folds the same
+#: floats in the same order.
 MERGE_CHUNK = 8
 
 

@@ -1,16 +1,20 @@
-"""Persistent profile cache: hits, misses, invalidation, fingerprints."""
+"""Memoized tuner evaluations: hits, misses, invalidation, fingerprints.
 
-import json
+The store mechanics (file layout, load check, atomic write) are covered
+for both stored kinds in ``test_store.py``; this file covers the tuner's
+rules on top of them.
+"""
+
 import math
-import os
+from collections import OrderedDict
 
-from repro.core.tuner import cache as cache_mod
+from repro.core import store as store_mod
 from repro.core.tuner.cache import (
-    CACHE_SCHEMA_VERSION,
     CachedEvaluation,
-    ProfileCache,
+    EvaluationStore,
     config_fingerprint,
     pipeline_fingerprint,
+    space_key,
     spec_fingerprint,
     trace_fingerprint,
 )
@@ -73,21 +77,22 @@ class TestSearchWithCache:
     def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
         first = _tuner(tmp_path / "c").tune()
         assert first.cache_misses > 0
+        # A version bump ships in a new program, so it starts with an
+        # empty per-process registry.
         monkeypatch.setattr(
-            cache_mod, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
+            EvaluationStore, "version", EvaluationStore.version + 1
         )
+        monkeypatch.setattr(store_mod, "_REGISTRY", OrderedDict())
         rerun = _tuner(tmp_path / "c").tune()
         assert rerun.cache_hits == 0  # every old entry misses cleanly
         assert rerun.best_config == first.best_config
 
     def test_different_workload_different_space(self, tmp_path):
-        """A changed trace must land in a different space directory."""
+        """A changed trace must land in a different search space."""
         pipe = toy_pipeline()
         _, trace_a = profile_pipeline(pipe, K20C, {"doubler": [1, 2, 3]})
         _, trace_b = profile_pipeline(pipe, K20C, {"doubler": [4, 5, 6]})
-        cache_a = ProfileCache.open(str(tmp_path), pipe, K20C, trace_a)
-        cache_b = ProfileCache.open(str(tmp_path), pipe, K20C, trace_b)
-        assert cache_a.space_dir != cache_b.space_dir
+        assert space_key(pipe, K20C, trace_a) != space_key(pipe, K20C, trace_b)
 
 
 class TestCacheSemantics:
@@ -98,70 +103,59 @@ class TestCacheSemantics:
         config = OfflineTuner(
             pipe, K20C, trace, options=tuner_opts
         ).candidates()[0]
-        return ProfileCache.open(str(tmp_path), pipe, K20C, trace), config
-
-    def test_roundtrip_completed(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        assert cache.lookup(config) is None
-        cache.store(
-            config, CachedEvaluation(status="completed", time_ms=1.25)
-        )
-        entry = cache.lookup(config)
-        assert entry is not None
-        assert entry.status == "completed" and entry.time_ms == 1.25
+        store = EvaluationStore(disk_dir=str(tmp_path))
+        return store, space_key(pipe, K20C, trace), config
 
     def test_timeout_entry_deadline_semantics(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        cache.store(
+        cache, space, config = self._cache(tmp_path)
+        cache.record(
+            space,
             config,
             CachedEvaluation(status="timeout", exceeded_cycles=100.0),
         )
         # Stricter (or equal) deadline: the run would provably time out
         # again, so the entry is a hit.
-        hit = cache.lookup(config, deadline_cycles=50.0)
+        hit = cache.lookup(space, config, deadline_cycles=50.0)
         assert hit is not None and hit.status == "timeout"
-        assert cache.lookup(config, deadline_cycles=100.0) is not None
+        assert cache.lookup(space, config, deadline_cycles=100.0) is not None
         # Looser deadline: the run might finish now; must re-evaluate.
-        assert cache.lookup(config, deadline_cycles=200.0) is None
-        assert cache.lookup(config, deadline_cycles=math.inf) is None
+        assert cache.lookup(space, config, deadline_cycles=200.0) is None
+        assert cache.lookup(space, config, deadline_cycles=math.inf) is None
+
+    def test_unusable_memory_entry_falls_through_to_disk(self, tmp_path):
+        """A timeout this object remembers must not hide a completed
+        outcome another worker has since written to the shared root."""
+        cache, space, config = self._cache(tmp_path)
+        cache.record(
+            space,
+            config,
+            CachedEvaluation(status="timeout", exceeded_cycles=100.0),
+        )
+        other, _space, _config = self._cache(tmp_path)
+        other.record(
+            space,
+            config,
+            CachedEvaluation(status="completed", time_ms=1.5, cycles=150.0),
+        )
+        before = cache.stats()
+        entry = cache.lookup(space, config, deadline_cycles=200.0)
+        assert entry is not None and entry.status == "completed"
+        assert entry.time_ms == 1.5
+        delta = cache.stats() - before
+        assert (delta.disk_hits, delta.mem_hits, delta.misses) == (1, 0, 0)
+        # The loaded outcome replaced the timeout in memory.
+        assert cache.lookup(space, config, deadline_cycles=200.0) == entry
+        assert (cache.stats() - before).mem_hits == 1
 
     def test_invalid_entry_always_hits(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        cache.store(
-            config, CachedEvaluation(status="invalid", note="invalid: nope")
+        cache, space, config = self._cache(tmp_path)
+        cache.record(
+            space,
+            config,
+            CachedEvaluation(status="invalid", note="invalid: nope"),
         )
-        entry = cache.lookup(config, deadline_cycles=1.0)
+        entry = cache.lookup(space, config, deadline_cycles=1.0)
         assert entry is not None and entry.status == "invalid"
-
-    def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        cache.store(config, CachedEvaluation(status="completed", time_ms=2.0))
-        with open(cache.path_for(config), "w", encoding="utf-8") as fh:
-            fh.write("{not json")
-        # The in-process memory layer still remembers the good entry ...
-        assert cache.lookup(config) is not None
-        # ... but a fresh cache object (a new process) must treat the
-        # corrupt file as a clean miss.
-        fresh, _ = self._cache(tmp_path)
-        assert fresh.lookup(config) is None
-
-    def test_unknown_status_is_a_miss(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        os.makedirs(cache.space_dir, exist_ok=True)
-        with open(cache.path_for(config), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"schema": CACHE_SCHEMA_VERSION, "status": "quantum"}, fh
-            )
-        assert cache.lookup(config) is None
-
-    def test_entry_count_and_clear(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        assert cache.entry_count() == 0
-        cache.store(config, CachedEvaluation(status="completed", time_ms=1.0))
-        assert cache.entry_count() == 1
-        assert cache.clear() == 1
-        assert cache.entry_count() == 0
-        assert cache.lookup(config) is None
 
 
 class TestFingerprints:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.hist import (
     SUBBUCKETS_PER_OCTAVE,
+    UNITS_PER_MS,
     LogBucketHistogram,
     WindowSeries,
     _bucket_edges,
@@ -32,6 +33,11 @@ class TestBucketing:
         assert _bucket_edges(-1) == (0.0, 1.0)
 
 
+#: Quantisation steps per sample unit: millisecond latencies (serving)
+#: and cycle waits (run reports).
+UNITS = (UNITS_PER_MS, 1)
+
+
 class TestLogBucketHistogram:
     def test_percentiles_clamped_to_observed_range(self):
         hist = LogBucketHistogram()
@@ -40,6 +46,17 @@ class TestLogBucketHistogram:
         assert hist.min == 1.0 and hist.max == 3.0
         assert 1.0 <= hist.percentile(0) <= hist.percentile(100) <= 3.0
         assert hist.percentile(100) == 3.0
+        cycles = LogBucketHistogram(units=1)
+        for value in (1.0, 3.0, 5.0):
+            cycles.add(value)
+        assert cycles.count == 3 and cycles.mean == 3.0
+        assert cycles.min == 1.0 and cycles.max == 5.0
+        for units in UNITS:
+            hist = LogBucketHistogram(units=units)
+            for value in range(1, 101):
+                hist.add(float(value))
+            p50, p90, p99 = (hist.percentile(p) for p in (50, 90, 99))
+            assert hist.min <= p50 <= p90 <= p99 <= hist.max
 
     def test_percentile_tracks_distribution(self):
         hist = LogBucketHistogram()
@@ -56,18 +73,20 @@ class TestLogBucketHistogram:
     def test_merged_percentiles_identical_to_single(self, splits):
         rng = random.Random(11)
         values = [rng.expovariate(0.3) for _ in range(4000)]
-        single = LogBucketHistogram()
-        for value in values:
-            single.add(value)
-        parts = [LogBucketHistogram() for _ in range(splits)]
-        for index, value in enumerate(values):
-            parts[index % splits].add(value)
-        merged = LogBucketHistogram()
-        for part in parts:
-            merged.merge(part)
-        assert json.dumps(merged.to_dict(), sort_keys=True) == json.dumps(
-            single.to_dict(), sort_keys=True
-        )
+        for units, scale in zip(UNITS, (1.0, 1000.0)):
+            single = LogBucketHistogram(units=units)
+            for value in values:
+                single.add(value * scale)
+            parts = [LogBucketHistogram(units=units) for _ in range(splits)]
+            for index, value in enumerate(values):
+                parts[index % splits].add(value * scale)
+            merged = LogBucketHistogram(units=units)
+            for part in parts:
+                merged.merge(part)
+            assert merged == single
+            assert json.dumps(merged.to_dict(), sort_keys=True) == json.dumps(
+                single.to_dict(), sort_keys=True
+            )
 
     def test_round_trip(self):
         hist = LogBucketHistogram()
@@ -77,9 +96,10 @@ class TestLogBucketHistogram:
         assert clone.to_dict() == hist.to_dict()
 
     def test_empty(self):
-        hist = LogBucketHistogram()
-        assert hist.percentile(99) == 0.0
-        assert hist.mean == 0.0
+        for units in UNITS:
+            hist = LogBucketHistogram(units=units)
+            assert hist.percentile(99) == 0.0
+            assert hist.mean == 0.0
 
 
 class TestWindowSeries:

@@ -144,8 +144,8 @@ class TestTraceReuse:
         assert not warm["baseline"].replayed
         assert warm["megakernel"].replayed
         assert warm["versapipe"].replayed
-        assert cache.misses == 1
-        assert cache.hits >= 2
+        assert cache.stats().misses == 1
+        assert cache.stats().hits >= 2
 
     def test_fingerprint_stable_across_instances(self):
         spec = get_workload("pyramid")
@@ -182,9 +182,10 @@ class TestTraceReuse:
         cache = TraceCache()
         run_workload_models("ldpc", params=params, cache=cache)
         reseeded = dataclasses.replace(params, seed=params.seed + 1)
-        misses_before = cache.misses
+        misses_before = cache.stats().misses
         run_workload_models("ldpc", params=reseeded, cache=cache)
-        assert cache.misses == misses_before + 1  # fresh functional run
+        # A fresh functional run.
+        assert cache.stats().misses == misses_before + 1
         assert len(cache) == 2  # both traces retained
 
     def test_lru_eviction_bounds_entries(self):
@@ -196,6 +197,6 @@ class TestTraceReuse:
         run_workload_models("ldpc", params=reseeded, cache=cache)
         assert len(cache) == 1
         # The first trace was evicted: running it again must miss.
-        misses_before = cache.misses
+        misses_before = cache.stats().misses
         run_workload_models("ldpc", params=params, cache=cache)
-        assert cache.misses == misses_before + 1
+        assert cache.stats().misses == misses_before + 1

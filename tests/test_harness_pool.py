@@ -8,7 +8,6 @@ classic serial loop.
 
 import json
 import os
-import pickle
 
 import pytest
 
@@ -20,20 +19,13 @@ from repro.harness.pool import (
     run_suite,
     suite_bench_payload,
 )
+from repro.core.store import REGISTRY_STORES, StoreStats
 from repro.harness.runner import (
     aggregate_reports,
     run_versapipe,
     run_workload_models,
 )
-from repro.harness.tracecache import (
-    PROCESS_CACHE_DIRS,
-    TRACE_DISK_FORMAT_VERSION,
-    DiskTraceStore,
-    TraceCache,
-    TraceCacheStats,
-    process_cache,
-    workload_fingerprint,
-)
+from repro.harness.tracecache import TraceCache, workload_fingerprint
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ["ldpc", "reyes"]
@@ -69,8 +61,7 @@ class TestDeterminism:
         assert suite_json(parallel) == suite_json(serial)
 
     def test_parallel_merged_reports_match_serial(self):
-        # Two devices -> 12 observed cells, exercising the chunked
-        # (fixed fan-in) report reduction tree beyond one chunk.
+        # Two devices -> 12 observed cells from two worker layouts.
         devices = ("K20c", "GTX1080")
         serial = run_suite(
             workloads=WORKLOADS, devices=devices, workers=1, observe=True
@@ -80,7 +71,7 @@ class TestDeterminism:
         )
         assert suite_json(parallel) == suite_json(serial)
         agg_serial = aggregate_reports(serial.cells).to_dict()
-        agg_parallel = aggregate_reports(parallel.cells, workers=4).to_dict()
+        agg_parallel = aggregate_reports(parallel.cells).to_dict()
         assert json.dumps(agg_parallel, sort_keys=True) == json.dumps(
             agg_serial, sort_keys=True
         )
@@ -88,22 +79,21 @@ class TestDeterminism:
     def test_aggregate_histogram_percentiles_worker_invariant(self):
         """Property: the merged report's latency histograms — and the
         percentiles derived from them — are identical whichever worker
-        count folded the per-cell reports, including the fan-in-8
-        chunked reduction (12 observed cells > one chunk)."""
+        count ran the per-cell reports."""
         devices = ("K20c", "GTX1080")
-        suite = run_suite(
-            workloads=WORKLOADS, devices=devices, workers=2, observe=True
+        reference = aggregate_reports(
+            run_suite(
+                workloads=WORKLOADS, devices=devices, workers=1, observe=True
+            ).cells
+        ).to_dict()
+        merged = aggregate_reports(
+            run_suite(
+                workloads=WORKLOADS, devices=devices, workers=2, observe=True
+            ).cells
+        ).to_dict()
+        assert json.dumps(merged, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
         )
-        observed = [
-            cell for cell in suite.cells if cell.result.report is not None
-        ]
-        assert len(observed) > 8  # forces the chunk-tree path
-        reference = aggregate_reports(suite.cells, workers=1).to_dict()
-        for workers in (2, 3, 5):
-            merged = aggregate_reports(suite.cells, workers=workers).to_dict()
-            assert json.dumps(merged, sort_keys=True) == json.dumps(
-                reference, sort_keys=True
-            )
         # The percentile fields themselves must be populated, not just
         # vacuously equal empty histograms.
         latencies = reference["stage_latency"]
@@ -131,7 +121,7 @@ class TestDeterminism:
         # Where a warm hit lands (worker memory vs the shared disk
         # store) depends on which persistent worker serves the shard;
         # only the placement-agnostic totals are deterministic.
-        assert warm.cache_stats.total_hits >= 1
+        assert warm.cache_stats.hits >= 1
         assert warm.cache_stats.misses == 0
 
     def test_warm_dispatch_stats_are_per_dispatch_deltas(self, tmp_path):
@@ -148,8 +138,8 @@ class TestDeterminism:
         # would double-count everything the workers served before it.
         assert first.cache_stats.misses == 0
         assert second.cache_stats.misses == 0
-        assert first.cache_stats.total_hits == second.cache_stats.total_hits
-        assert first.cache_stats.total_hits >= 1
+        assert first.cache_stats.hits == second.cache_stats.hits
+        assert first.cache_stats.hits >= 1
 
     def test_run_workload_models_parallel_matches_serial(self, tmp_path):
         spec = get_workload("ldpc")
@@ -159,7 +149,7 @@ class TestDeterminism:
             "ldpc",
             params=params,
             workers=4,
-            cache_dir=str(tmp_path / "traces"),
+            cache=TraceCache(disk_dir=str(tmp_path / "traces")),
         )
         for column in COLUMNS:
             a, b = serial[column], parallel[column]
@@ -177,16 +167,6 @@ class TestDeterminism:
                 for name, s in b.result.stage_stats.items()
             }
 
-    def test_run_versapipe_parallel_matches_serial(self):
-        spec = get_workload("reyes")
-        params = spec.quick_params()
-        serial = run_versapipe(spec, _k20c(), params, cache=TraceCache())
-        parallel = run_versapipe(
-            spec, _k20c(), params, cache=TraceCache(), workers=2
-        )
-        assert parallel.time_ms == serial.time_ms
-        assert parallel.result.cycles == serial.result.cycles
-
     def test_workers_zero_rejected(self):
         with pytest.raises(ValueError):
             run_cells(plan_suite(WORKLOADS), workers=0)
@@ -201,25 +181,30 @@ def _k20c():
 
 
 class TestDiskCache:
-    def _fingerprint(self, name="ldpc"):
-        spec = get_workload(name)
-        return spec, workload_fingerprint(spec, spec.quick_params())
+    """The trace cache end to end; the store's load checks (stale
+    versions, key mismatch, wrong value type) live in
+    ``tests/core/test_store.py``."""
 
     def test_roundtrip_and_entry_count(self, tmp_path):
         cache = TraceCache(disk_dir=str(tmp_path))
         spec = get_workload("ldpc")
         params = spec.quick_params()
         run_versapipe(spec, _k20c(), params, cache=cache)
-        assert cache.stores == 1
-        assert cache.disk.entry_count() == 1
+        assert cache.stats().stores == 1
+        entries = [
+            name
+            for _dir, _subdirs, names in os.walk(tmp_path)
+            for name in names
+        ]
+        key = workload_fingerprint(spec, params)
+        assert entries == [os.path.basename(cache.path_for(key))]
         # A fresh process-equivalent: new cache over the same directory.
         fresh = TraceCache(disk_dir=str(tmp_path))
-        key = workload_fingerprint(spec, params)
         assert fresh.get(key) is not None
-        assert fresh.disk_hits == 1 and fresh.misses == 0
+        assert fresh.stats() == StoreStats(disk_hits=1)
         # Now resident in memory too.
         assert fresh.get(key) is not None
-        assert fresh.hits == 1
+        assert fresh.stats().mem_hits == 1
 
     def test_corrupted_entry_recomputes_cleanly(self, tmp_path):
         cache = TraceCache(disk_dir=str(tmp_path))
@@ -227,71 +212,16 @@ class TestDiskCache:
         params = spec.quick_params()
         baseline = run_versapipe(spec, _k20c(), params, cache=cache)
         key = workload_fingerprint(spec, params)
-        path = cache.disk.path_for(key)
-        with open(path, "wb") as fh:
+        with open(cache.path_for(key), "wb") as fh:
             fh.write(b"not a pickle at all")
         fresh = TraceCache(disk_dir=str(tmp_path))
         assert fresh.get(key) is None
-        assert fresh.misses == 1 and fresh.disk_misses == 1
+        assert fresh.stats() == StoreStats(misses=1)
         again = run_versapipe(spec, _k20c(), params, cache=fresh)
         assert again.time_ms == baseline.time_ms
         assert again.result.cycles == baseline.result.cycles
         # The recompute overwrote the corrupt entry with a good one.
         assert TraceCache(disk_dir=str(tmp_path)).get(key) is not None
-
-    def test_stale_schema_entry_is_a_miss(self, tmp_path):
-        cache = TraceCache(disk_dir=str(tmp_path))
-        spec = get_workload("ldpc")
-        params = spec.quick_params()
-        run_versapipe(spec, _k20c(), params, cache=cache)
-        key = workload_fingerprint(spec, params)
-        path = cache.disk.path_for(key)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["schema"] = -1
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        fresh = TraceCache(disk_dir=str(tmp_path))
-        assert fresh.get(key) is None
-
-    def test_stale_format_entry_is_a_miss(self, tmp_path):
-        store = DiskTraceStore(str(tmp_path))
-        spec, key = self._fingerprint()
-        cache = TraceCache(disk_dir=str(tmp_path))
-        run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
-        with open(store.path_for(key), "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload["format"] == TRACE_DISK_FORMAT_VERSION
-        payload["format"] = TRACE_DISK_FORMAT_VERSION + 1
-        with open(store.path_for(key), "wb") as fh:
-            pickle.dump(payload, fh)
-        assert store.load(key) is None
-
-    def test_key_mismatch_is_a_miss(self, tmp_path):
-        store = DiskTraceStore(str(tmp_path))
-        spec, key = self._fingerprint()
-        cache = TraceCache(disk_dir=str(tmp_path))
-        run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
-        other = "ff" + key[2:]
-        os.makedirs(os.path.dirname(store.path_for(other)), exist_ok=True)
-        os.replace(store.path_for(key), store.path_for(other))
-        assert store.load(other) is None
-
-    def test_clear_disk_layer(self, tmp_path):
-        cache = TraceCache(disk_dir=str(tmp_path))
-        spec = get_workload("ldpc")
-        run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
-        assert cache.disk.entry_count() == 1
-        assert cache.disk.clear() == 1
-        assert cache.disk.entry_count() == 0
-
-    def test_memory_clear_keeps_disk(self, tmp_path):
-        cache = TraceCache(disk_dir=str(tmp_path))
-        spec = get_workload("ldpc")
-        run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0
-        assert cache.disk.entry_count() == 1
 
 
 class TestPerRunStats:
@@ -310,7 +240,7 @@ class TestPerRunStats:
         # the first call's counters.
         assert second.misses == 0
         assert second.hits >= 1
-        assert cache.misses == 1  # lifetime totals still accumulate
+        assert cache.stats().misses == 1  # lifetime totals accumulate
 
     def test_run_workload_models_sets_last_run(self):
         cache = TraceCache()
@@ -322,13 +252,14 @@ class TestPerRunStats:
         assert cache.last_run.hits >= 1
 
     def test_stats_arithmetic(self):
-        a = TraceCacheStats(hits=5, misses=2, disk_hits=1, stores=3)
-        b = TraceCacheStats(hits=2, misses=1, disk_hits=1, stores=1)
-        assert (a - b).hits == 3 and (a - b).stores == 2
+        a = StoreStats(mem_hits=5, disk_hits=1, misses=2, stores=3)
+        b = StoreStats(mem_hits=2, disk_hits=1, misses=1, stores=1)
+        assert a - b == StoreStats(mem_hits=3, disk_hits=0, misses=1, stores=2)
         assert (a + b).misses == 3
-        assert a.total_hits == 6
-        assert "disk: 1 hits" in a.describe()
-        assert a.to_dict()["stores"] == 3
+        assert a.hits == 6
+        assert a.describe() == (
+            "6 hits / 2 misses (memory: 5 hits, disk: 1 hits; 3 stores)"
+        )
 
 
 class TestProcessCacheRegistry:
@@ -336,21 +267,21 @@ class TestProcessCacheRegistry:
 
     def test_same_directory_same_cache(self, tmp_path):
         target = str(tmp_path / "traces")
-        assert process_cache(target) is process_cache(target)
+        assert TraceCache.shared(target) is TraceCache.shared(target)
         # Path spelling doesn't split the cache.
         alias = str(tmp_path / "." / "traces")
-        assert process_cache(alias) is process_cache(target)
+        assert TraceCache.shared(alias) is TraceCache.shared(target)
 
     def test_distinct_directories_distinct_caches(self, tmp_path):
-        a = process_cache(str(tmp_path / "a"))
-        b = process_cache(str(tmp_path / "b"))
+        a = TraceCache.shared(str(tmp_path / "a"))
+        b = TraceCache.shared(str(tmp_path / "b"))
         assert a is not b
-        assert a.disk is not None and b.disk is not None
+        assert a.root is not None and b.root is not None
 
     def test_registry_is_bounded_lru(self, tmp_path):
-        first = process_cache(str(tmp_path / "dir0"))
-        for index in range(1, PROCESS_CACHE_DIRS + 1):
-            process_cache(str(tmp_path / f"dir{index}"))
+        first = TraceCache.shared(str(tmp_path / "dir0"))
+        for index in range(1, REGISTRY_STORES + 1):
+            TraceCache.shared(str(tmp_path / f"dir{index}"))
         # dir0 was the least recently used entry and fell out; asking
         # again builds a fresh cache (empty counters, empty LRU).
-        assert process_cache(str(tmp_path / "dir0")) is not first
+        assert TraceCache.shared(str(tmp_path / "dir0")) is not first
